@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    OPERATORS,
     AlmostAlways,
     AlmostAlwaysB,
     AlmostUntil,
@@ -25,6 +26,7 @@ from .core import (
     Atom,
     AvoidingFunction,
     Bot,
+    Bound,
     Eventually,
     EventuallyB,
     Formula,
@@ -153,39 +155,40 @@ def random_trace(
     return Trace(tuple(atoms), tuple(rows), loop_start)
 
 
-_LEAF_WEIGHTS = (("atom", 8), ("top", 1), ("bot", 1))
+_LEAF_WEIGHTS = ((Atom, 8), (Top, 1), (Bot, 1))
+#: Draw order and weights fix every seeded suite's cases; keep both.
 _NODE_WEIGHTS = (
-    ("not", 2),
-    ("and", 2),
-    ("or", 2),
-    ("implies", 1),
-    ("weak_and", 1),
-    ("weak_or", 1),
-    ("next", 2),
-    ("soon", 1),
-    ("eventually_b", 1),
-    ("always_b", 1),
-    ("eventually", 1),
-    ("always", 1),
-    ("almost_always", 1),
-    ("almost_always_b", 1),
-    ("lasts", 1),
-    ("within", 1),
-    ("until", 1),
-    ("until_b", 1),
-    ("almost_until", 1),
-    ("almost_until_b", 1),
-    ("scale", 1),
+    (Not, 2),
+    (And, 2),
+    (Or, 2),
+    (Implies, 1),
+    (WeakAnd, 1),
+    (WeakOr, 1),
+    (Next, 2),
+    (Soon, 1),
+    (EventuallyB, 1),
+    (AlwaysB, 1),
+    (Eventually, 1),
+    (Always, 1),
+    (AlmostAlways, 1),
+    (AlmostAlwaysB, 1),
+    (Lasts, 1),
+    (Within, 1),
+    (Until, 1),
+    (UntilB, 1),
+    (AlmostUntil, 1),
+    (AlmostUntilB, 1),
+    (Scale, 1),
 )
 
 
-def _pick(rng: random.Random, table) -> str:
+def _pick(rng: random.Random, table) -> type:
     total = sum(w for _, w in table)
     roll = rng.randrange(total)
-    for name, w in table:
+    for kind, w in table:
         roll -= w
         if roll < 0:
-            return name
+            return kind
     raise AssertionError
 
 
@@ -200,64 +203,27 @@ def random_formula(
 ) -> Formula:
     if depth <= 0:
         kind = _pick(rng, _LEAF_WEIGHTS)
-        if kind == "atom":
+        if kind is Atom:
             return Atom(rng.choice(list(atoms)))
-        return Top() if kind == "top" else Bot()
+        return kind()
     kind = _pick(rng, _NODE_WEIGHTS)
-    if kind == "scale" and (not allow_scale or n_eta < 2):
-        kind = "next"
-    if not allow_unbounded and kind in ("eventually", "always", "almost_always", "until", "almost_until"):
-        kind = "eventually_b"
+    if kind is Scale and (not allow_scale or n_eta < 2):
+        kind = Next
+    if not allow_unbounded and OPERATORS[kind].unbounded:
+        kind = EventuallyB
 
     def sub() -> Formula:
         return random_formula(
             rng, atoms, rng.randint(0, depth - 1), max_bound, n_eta, allow_scale, allow_unbounded
         )
 
+    spec = OPERATORS[kind]
     t = rng.randint(0, max_bound)
-    if kind == "not":
-        return Not(sub())
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    if kind == "weak_and":
-        return WeakAnd(sub(), sub())
-    if kind == "weak_or":
-        return WeakOr(sub(), sub())
-    if kind == "next":
-        return Next(sub())
-    if kind == "soon":
-        return Soon(sub())
-    if kind == "eventually_b":
-        return EventuallyB(t, sub())
-    if kind == "always_b":
-        return AlwaysB(t, sub())
-    if kind == "eventually":
-        return Eventually(sub())
-    if kind == "always":
-        return Always(sub())
-    if kind == "almost_always":
-        return AlmostAlways(sub())
-    if kind == "almost_always_b":
-        return AlmostAlwaysB(t, sub())
-    if kind == "lasts":
-        return Lasts(t, sub())
-    if kind == "within":
-        return Within(t, sub())
-    if kind == "until":
-        return Until(sub(), sub())
-    if kind == "until_b":
-        return UntilB(t, sub(), sub())
-    if kind == "almost_until":
-        return AlmostUntil(sub(), sub())
-    if kind == "almost_until_b":
-        return AlmostUntilB(t, sub(), sub())
-    if kind == "scale":
-        return Scale(rng.randint(1, n_eta - 1), sub())
-    raise AssertionError(kind)
+    if spec.bound == Bound.INDEX:
+        params: tuple[int, ...] = (rng.randint(1, n_eta - 1),)
+    else:
+        params = () if spec.param is None else (t,)
+    return kind(*params, *[sub() for _ in spec.children])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from .errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
 
@@ -225,29 +226,109 @@ class Scale(Formula):
         _check_bound(self.index)
 
 
+# ---------------------------------------------------------------------------
+# The operator table
+# ---------------------------------------------------------------------------
+
+
+class Bound:
+    """How a keyword takes its bracketed natural number."""
+
+    NONE = "none"  # no brackets
+    OPTIONAL = "optional"  # `[t]` selects the bounded twin
+    REQUIRED = "required"  # `[t]` is mandatory
+    INDEX = "index"  # `[j]` is mandatory and indexes the avoiding table
+    REPEAT = "repeat"  # `[k]` stacks k copies of the node
+
+
+class Level:
+    """Precedence, loosest first.  Implication is right-associative; the
+    other binary levels are left-associative.  Plain ints, not an enum: the
+    parser and formatter compare them once per token and per node."""
+
+    IMPLIES, OR, AND, UNTIL, UNARY, LEAF = range(6)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One row of the operator table; arity comes from the dataclass fields."""
+
+    cls: type
+    keyword: Optional[str]  # None for atoms, whose text is their name
+    level: int  # a Level
+    bound: str = Bound.NONE
+    twin: Optional[type] = None  # the bounded <-> unbounded counterpart
+    children: tuple[str, ...] = field(init=False)  # the Formula fields, in order
+    param: Optional[str] = field(init=False)  # the int field; always the first
+    get_children: Callable[[Formula], tuple[Formula, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        typed = [(f.name, f.type) for f in fields(self.cls)]
+        names = tuple(n for n, t in typed if t == "Formula")
+        object.__setattr__(self, "children", names)
+        object.__setattr__(self, "param", next((n for n, t in typed if t == "int"), None))
+        # tree walks call this once per node, so it is an attrgetter where it
+        # can be; for a single name attrgetter returns the bare value
+        if len(names) == 1:
+            one = attrgetter(names[0])
+            getter = lambda f: (one(f),)
+        elif names:
+            getter = attrgetter(*names)
+        else:
+            getter = lambda f: ()
+        object.__setattr__(self, "get_children", getter)
+
+    @property
+    def unbounded(self) -> bool:
+        """True for F, G, AG, U and AU without a bound."""
+        return self.twin is not None and self.param is None
+
+
+#: Node class -> its row: concrete syntax, precedence and bounded twin.
+OPERATORS: dict[type, OpSpec] = {
+    spec.cls: spec
+    for spec in (
+        OpSpec(Atom, None, Level.LEAF),
+        OpSpec(Top, "true", Level.LEAF),
+        OpSpec(Bot, "false", Level.LEAF),
+        OpSpec(Not, "!", Level.UNARY),
+        OpSpec(Next, "X", Level.UNARY, Bound.REPEAT),
+        OpSpec(Soon, "S", Level.UNARY),
+        OpSpec(Eventually, "F", Level.UNARY, Bound.OPTIONAL, EventuallyB),
+        OpSpec(EventuallyB, "F", Level.UNARY, Bound.OPTIONAL, Eventually),
+        OpSpec(Always, "G", Level.UNARY, Bound.OPTIONAL, AlwaysB),
+        OpSpec(AlwaysB, "G", Level.UNARY, Bound.OPTIONAL, Always),
+        OpSpec(AlmostAlways, "AG", Level.UNARY, Bound.OPTIONAL, AlmostAlwaysB),
+        OpSpec(AlmostAlwaysB, "AG", Level.UNARY, Bound.OPTIONAL, AlmostAlways),
+        OpSpec(Lasts, "L", Level.UNARY, Bound.REQUIRED),
+        OpSpec(Within, "W", Level.UNARY, Bound.REQUIRED),
+        OpSpec(Scale, "O", Level.UNARY, Bound.INDEX),
+        OpSpec(Until, "U", Level.UNTIL, Bound.OPTIONAL, UntilB),
+        OpSpec(UntilB, "U", Level.UNTIL, Bound.OPTIONAL, Until),
+        OpSpec(AlmostUntil, "AU", Level.UNTIL, Bound.OPTIONAL, AlmostUntilB),
+        OpSpec(AlmostUntilB, "AU", Level.UNTIL, Bound.OPTIONAL, AlmostUntil),
+        OpSpec(And, "&", Level.AND),
+        OpSpec(WeakAnd, "&&", Level.AND),
+        OpSpec(Or, "|", Level.OR),
+        OpSpec(WeakOr, "||", Level.OR),
+        OpSpec(Implies, "->", Level.IMPLIES),
+    )
+}
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     """Direct subformulas, left to right."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return ()
-    if hasattr(f, "arg"):
-        return (f.arg,)
-    return (f.left, f.right)
+    return OPERATORS[type(f)].get_children(f)
 
 
 def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
     """Rebuild the same node kind around replacement children."""
-    if isinstance(f, (Atom, Top, Bot)):
+    spec = OPERATORS[type(f)]
+    if not spec.children:
         return f
-    cls = type(f)
-    if hasattr(f, "arg"):
-        if hasattr(f, "bound"):
-            return cls(f.bound, new[0])
-        if hasattr(f, "index"):
-            return cls(f.index, new[0])
-        return cls(new[0])
-    if hasattr(f, "bound"):
-        return cls(f.bound, new[0], new[1])
-    return cls(new[0], new[1])
+    if spec.param is None:
+        return spec.cls(*new)
+    return spec.cls(getattr(f, spec.param), *new)
 
 
 def node_count(f: Formula) -> int:

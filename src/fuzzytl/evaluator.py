@@ -15,18 +15,15 @@ from . import algebra
 from .algebra import ConnectiveOps, scale
 from .core import (
     ETA_ATOM_PREFIX,
+    OPERATORS,
     AlmostAlways,
-    AlmostAlwaysB,
     AlmostUntil,
-    AlmostUntilB,
     Always,
-    AlwaysB,
     And,
     Atom,
     AvoidingFunction,
     Bot,
     Eventually,
-    EventuallyB,
     Formula,
     Implies,
     Interpretation,
@@ -40,7 +37,6 @@ from .core import (
     TruthDegree,
     Trace,
     Until,
-    UntilB,
     WeakAnd,
     WeakOr,
     Within,
@@ -94,6 +90,15 @@ def _flip(e: Exactness) -> Exactness:
     return e
 
 
+#: Interpretation -> binary connective class -> its operation.  && and || are
+#: the exact lattice min and max; algebra.weak_and and weak_or reach them
+#: through the residuum, which rounds.
+_BINARY = {
+    interp: {And: ops.tnorm, Or: ops.tconorm, Implies: ops.implies, WeakAnd: min, WeakOr: max}
+    for interp, ops in ((i, algebra.ops_for(i)) for i in Interpretation)
+}
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """Everything one evaluation needs; immutable, shareable."""
@@ -103,9 +108,11 @@ class EvalContext:
     eta: AvoidingFunction
     finite_policy: FinitePolicy = FinitePolicy.STRICT
     _ops: ConnectiveOps = field(init=False, compare=False, repr=False)
+    _binary: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_ops", algebra.ops_for(self.interp))
+        object.__setattr__(self, "_binary", _BINARY[self.interp])
 
     @property
     def ops(self) -> ConnectiveOps:
@@ -164,12 +171,11 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
     return kept
 
 
-def _fold_tnorm(ops: ConnectiveOps, values) -> float:
+def _fold(op, values) -> float:
     it = iter(values)
     acc = next(it)
-    tnorm = ops.tnorm
     for v in it:
-        acc = tnorm(acc, v)
+        acc = op(acc, v)
     return acc
 
 
@@ -195,10 +201,11 @@ def _almost_always_value(
             if counter is not None:
                 counter.count += 1
     else:
+        tnorm = ops.tnorm
         for j in range(j_max + 1):
             dropped = {p for _, p in kept[:j]}
             retained = (v for p, v in enumerate(values) if p not in dropped)
-            cand = scale(_fold_tnorm(ops, retained), eta.lookup(j))
+            cand = scale(_fold(tnorm, retained), eta.lookup(j))
             if best is None or cand > best:
                 best = cand
             if counter is not None:
@@ -263,34 +270,13 @@ def _h_not(ctx, f, pos, memo):
     return ctx.ops.neg(v), _flip(ex)
 
 
-def _h_and(ctx, f, pos, memo):
+def _h_binary(ctx, f, pos, memo):
     lv, lex = _eval(ctx, f.left, pos, memo)
     rv, rex = _eval(ctx, f.right, pos, memo)
-    return ctx.ops.tnorm(lv, rv), _combine(lex, rex)
-
-
-def _h_or(ctx, f, pos, memo):
-    lv, lex = _eval(ctx, f.left, pos, memo)
-    rv, rex = _eval(ctx, f.right, pos, memo)
-    return ctx.ops.tconorm(lv, rv), _combine(lex, rex)
-
-
-def _h_implies(ctx, f, pos, memo):
-    lv, lex = _eval(ctx, f.left, pos, memo)
-    rv, rex = _eval(ctx, f.right, pos, memo)
-    return ctx.ops.implies(lv, rv), _combine(_flip(lex), rex)
-
-
-def _h_weak_and(ctx, f, pos, memo):
-    lv, lex = _eval(ctx, f.left, pos, memo)
-    rv, rex = _eval(ctx, f.right, pos, memo)
-    return algebra.weak_and(ctx.interp, lv, rv), _combine(lex, rex)
-
-
-def _h_weak_or(ctx, f, pos, memo):
-    lv, lex = _eval(ctx, f.left, pos, memo)
-    rv, rex = _eval(ctx, f.right, pos, memo)
-    return algebra.weak_or(ctx.interp, lv, rv), _combine(lex, rex)
+    cls = type(f)
+    if cls is Implies:  # antitone in its premise
+        lex = _flip(lex)
+    return ctx._binary[cls](lv, rv), _combine(lex, rex)
 
 
 def _h_next(ctx, f, pos, memo):
@@ -316,32 +302,21 @@ def _h_soon(ctx, f, pos, memo):
     return acc, ex
 
 
-def _f_window(ctx, arg, pos, t, memo):
-    tconorm = ctx.ops.tconorm
+def _fold_window(ctx, arg, pos, t, memo, op):
     acc, ex = _eval(ctx, arg, pos, memo)
     for d in range(1, t + 1):
         v, cex = _eval(ctx, arg, pos + d, memo)
-        acc = tconorm(acc, v)
+        acc = op(acc, v)
         ex = _combine(ex, cex)
     return acc, ex
 
 
-def _g_window(ctx, arg, pos, t, memo):
-    tnorm = ctx.ops.tnorm
-    acc, ex = _eval(ctx, arg, pos, memo)
-    for d in range(1, t + 1):
-        v, cex = _eval(ctx, arg, pos + d, memo)
-        acc = tnorm(acc, v)
-        ex = _combine(ex, cex)
-    return acc, ex
+def _f_window(ctx, f, pos, t, memo):
+    return _fold_window(ctx, f.arg, pos, t, memo, ctx.ops.tconorm)
 
 
-def _h_eventually_b(ctx, f, pos, memo):
-    return _f_window(ctx, f.arg, pos, f.bound, memo)
-
-
-def _h_always_b(ctx, f, pos, memo):
-    return _g_window(ctx, f.arg, pos, f.bound, memo)
+def _g_window(ctx, f, pos, t, memo):
+    return _fold_window(ctx, f.arg, pos, t, memo, ctx.ops.tnorm)
 
 
 def _h_within(ctx, f, pos, memo):
@@ -389,17 +364,13 @@ def _window_values(ctx, arg, pos, t, memo):
     return values, ex
 
 
-def _ag_window(ctx, arg, pos, t, memo, counter=None):
-    values, ex = _window_values(ctx, arg, pos, t, memo)
-    value = _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values, counter)
-    return value, ex
+def _ag_window(ctx, f, pos, t, memo):
+    values, ex = _window_values(ctx, f.arg, pos, t, memo)
+    return _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values), ex
 
 
-def _h_almost_always_b(ctx, f, pos, memo):
-    return _ag_window(ctx, f.arg, pos, f.bound, memo)
-
-
-def _u_window(ctx, left, right, pos, t, memo):
+def _u_window(ctx, f, pos, t, memo):
+    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
     best, ex = _eval(ctx, right, pos, memo)
     prefix = None
@@ -414,7 +385,8 @@ def _u_window(ctx, left, right, pos, t, memo):
     return best, ex
 
 
-def _au_window(ctx, left, right, pos, t, memo):
+def _au_window(ctx, f, pos, t, memo):
+    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
     best, ex = _eval(ctx, right, pos, memo)
     values: list[float] = []
@@ -428,14 +400,6 @@ def _au_window(ctx, left, right, pos, t, memo):
             best = cand
         ex = _combine(ex, _combine(pex, rex))
     return best, ex
-
-
-def _h_until_b(ctx, f, pos, memo):
-    return _u_window(ctx, f.left, f.right, pos, f.bound, memo)
-
-
-def _h_almost_until_b(ctx, f, pos, memo):
-    return _au_window(ctx, f.left, f.right, pos, f.bound, memo)
 
 
 def _h_scale(ctx, f, pos, memo):
@@ -468,31 +432,26 @@ def _suffix_values(ctx, arg, pos, memo):
     return prefix, loop
 
 
-def _unb_always(ctx, arg, pos, memo):
-    prefix, loop = _suffix_values(ctx, arg, pos, memo)
+def _unb_always(ctx, f, pos, memo):
+    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
     if ctx.interp in _IDEMPOTENT:
         return min(prefix + loop)
     if all(v == 1.0 for v in loop):
-        return _fold_tnorm(ctx.ops, prefix) if prefix else 1.0
+        return _fold(ctx.ops.tnorm, prefix) if prefix else 1.0
     return 0.0  # any loop value below 1 recurs forever and drives the product to 0
 
 
-def _unb_eventually(ctx, arg, pos, memo):
-    prefix, loop = _suffix_values(ctx, arg, pos, memo)
+def _unb_eventually(ctx, f, pos, memo):
+    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
     if ctx.interp in _IDEMPOTENT:
         return max(prefix + loop)
     if all(v == 0.0 for v in loop):
-        if not prefix:
-            return 0.0
-        acc = prefix[0]
-        for v in prefix[1:]:
-            acc = ctx.ops.tconorm(acc, v)
-        return acc
+        return _fold(ctx.ops.tconorm, prefix) if prefix else 0.0
     return 1.0  # a positive loop value recurs forever and saturates the sum
 
 
-def _unb_almost_always(ctx, arg, pos, memo):
-    prefix, loop = _suffix_values(ctx, arg, pos, memo)
+def _unb_almost_always(ctx, f, pos, memo):
+    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
     eta = ctx.eta
     best = None
     if ctx.interp in _IDEMPOTENT:
@@ -508,10 +467,11 @@ def _unb_almost_always(ctx, arg, pos, memo):
                 best = cand
         return best
     if all(v == 1.0 for v in loop):
+        tnorm = ctx.ops.tnorm
         sp = sorted(prefix)
         for j in range(eta.n_eta):
             rest = sp[j:]
-            gj = _fold_tnorm(ctx.ops, rest) if rest else 1.0
+            gj = _fold(tnorm, rest) if rest else 1.0
             cand = scale(gj, eta.lookup(j))
             if best is None or cand > best:
                 best = cand
@@ -526,10 +486,11 @@ def _loop_shape(ctx, pos):
     return start, rel_prefix, trace.loop_length
 
 
-def _unb_until(ctx, left, right, pos, memo):
+def _unb_until(ctx, f, pos, memo):
     # the running prefix product never increases, so every candidate one full
     # loop later is dominated; scanning the pre-loop stretch plus one period
     # reaches the exact limit
+    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
     start, rel_prefix, span = _loop_shape(ctx, pos)
     best = _eval(ctx, right, start, memo)[0]
@@ -546,9 +507,10 @@ def _unb_until(ctx, left, right, pos, memo):
     return best
 
 
-def _unb_almost_until(ctx, left, right, pos, memo):
+def _unb_almost_until(ctx, f, pos, memo):
     # same dominance argument; once the window spans n_eta values the relaxed
     # product is non-increasing in the window, so one extra period suffices
+    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
     eta = ctx.eta
     start, rel_prefix, span = _loop_shape(ctx, pos)
@@ -565,53 +527,31 @@ def _unb_almost_until(ctx, left, right, pos, memo):
     return best
 
 
-def _unbounded_value(ctx, f, pos, memo):
-    if isinstance(f, Always):
-        return _unb_always(ctx, f.arg, pos, memo)
-    if isinstance(f, Eventually):
-        return _unb_eventually(ctx, f.arg, pos, memo)
-    if isinstance(f, AlmostAlways):
-        return _unb_almost_always(ctx, f.arg, pos, memo)
-    if isinstance(f, Until):
-        return _unb_until(ctx, f.left, f.right, pos, memo)
-    if isinstance(f, AlmostUntil):
-        return _unb_almost_until(ctx, f.left, f.right, pos, memo)
-    raise TypeError(f"{type(f).__name__} has no unbounded limit form")
+#: Unbounded class -> (window, exact lasso limit, the tag of a finite trace's
+#: largest window).  Almost-always is not monotone in the horizon, so its
+#: finite result has no bound direction.
+_UNBOUNDED = {
+    Eventually: (_f_window, _unb_eventually, _LOWER),
+    Always: (_g_window, _unb_always, _UPPER),
+    AlmostAlways: (_ag_window, _unb_almost_always, _APPROX),
+    Until: (_u_window, _unb_until, _LOWER),
+    AlmostUntil: (_au_window, _unb_almost_until, _LOWER),
+}
+#: Every F/G/AG/U/AU class -> its row above; a bounded class has no limit.
+_TEMPORAL = {
+    **_UNBOUNDED,
+    **{OPERATORS[cls].twin: (window, None, None) for cls, (window, _, _) in _UNBOUNDED.items()},
+}
 
 
-def _h_eventually(ctx, f, pos, memo):
+def _h_temporal(ctx, f, pos, memo):
+    window, limit, tag = _TEMPORAL[type(f)]
+    if limit is None:
+        return window(ctx, f, pos, f.bound, memo)
     if ctx.trace.is_lasso:
-        return _unbounded_value(ctx, f, pos, memo), _EXACT
-    v, ex = _f_window(ctx, f.arg, pos, _largest_window(ctx, pos), memo)
-    return v, _combine(ex, _LOWER)
-
-
-def _h_always(ctx, f, pos, memo):
-    if ctx.trace.is_lasso:
-        return _unbounded_value(ctx, f, pos, memo), _EXACT
-    v, ex = _g_window(ctx, f.arg, pos, _largest_window(ctx, pos), memo)
-    return v, _combine(ex, _UPPER)
-
-
-def _h_almost_always(ctx, f, pos, memo):
-    if ctx.trace.is_lasso:
-        return _unbounded_value(ctx, f, pos, memo), _EXACT
-    v, ex = _ag_window(ctx, f.arg, pos, _largest_window(ctx, pos), memo)
-    return v, _APPROX  # not monotone in the horizon, so no bound direction
-
-
-def _h_until(ctx, f, pos, memo):
-    if ctx.trace.is_lasso:
-        return _unbounded_value(ctx, f, pos, memo), _EXACT
-    v, ex = _u_window(ctx, f.left, f.right, pos, _largest_window(ctx, pos), memo)
-    return v, _combine(ex, _LOWER)
-
-
-def _h_almost_until(ctx, f, pos, memo):
-    if ctx.trace.is_lasso:
-        return _unbounded_value(ctx, f, pos, memo), _EXACT
-    v, ex = _au_window(ctx, f.left, f.right, pos, _largest_window(ctx, pos), memo)
-    return v, _combine(ex, _LOWER)
+        return limit(ctx, f, pos, memo), _EXACT
+    v, ex = window(ctx, f, pos, _largest_window(ctx, pos), memo)
+    return v, _combine(ex, tag)
 
 
 _HANDLERS = {
@@ -619,26 +559,13 @@ _HANDLERS = {
     Top: _h_top,
     Bot: _h_bot,
     Not: _h_not,
-    And: _h_and,
-    Or: _h_or,
-    Implies: _h_implies,
-    WeakAnd: _h_weak_and,
-    WeakOr: _h_weak_or,
     Next: _h_next,
     Soon: _h_soon,
-    Eventually: _h_eventually,
-    EventuallyB: _h_eventually_b,
-    Always: _h_always,
-    AlwaysB: _h_always_b,
-    AlmostAlways: _h_almost_always,
-    AlmostAlwaysB: _h_almost_always_b,
     Lasts: _h_lasts,
     Within: _h_within,
-    Until: _h_until,
-    UntilB: _h_until_b,
-    AlmostUntil: _h_almost_until,
-    AlmostUntilB: _h_almost_until_b,
     Scale: _h_scale,
+    **dict.fromkeys((And, Or, Implies, WeakAnd, WeakOr), _h_binary),
+    **dict.fromkeys(_TEMPORAL, _h_temporal),
 }
 
 
@@ -687,6 +614,7 @@ def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDeg
     """Exact limit of an unbounded-headed formula on a lasso trace."""
     if not ctx.trace.is_lasso:
         raise NotALasso("unbounded limits need a lasso trace")
-    if type(f) not in (Always, Eventually, AlmostAlways, Until, AlmostUntil):
+    unbounded = _UNBOUNDED.get(type(f))
+    if unbounded is None:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    return _unbounded_value(ctx, f, pos, {})
+    return unbounded[1](ctx, f, pos, {})

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import scale
 from .core import (
+    OPERATORS,
     AlmostAlways,
     AlmostAlwaysB,
     AlmostUntil,
@@ -37,6 +38,7 @@ from .core import (
     WeakAnd,
     WeakOr,
     Within,
+    children,
 )
 from .errors import NoConvergence, NotALasso, NotCrisp, WindowTooLarge
 from .evaluator import EvalContext, evaluate
@@ -89,14 +91,6 @@ def oracle_almost_until(
     return best
 
 
-_BOUNDED_FORM = {
-    Eventually: lambda f, t: EventuallyB(t, f.arg),
-    Always: lambda f, t: AlwaysB(t, f.arg),
-    AlmostAlways: lambda f, t: AlmostAlwaysB(t, f.arg),
-    Until: lambda f, t: UntilB(t, f.left, f.right),
-    AlmostUntil: lambda f, t: AlmostUntilB(t, f.left, f.right),
-}
-
 _PINNED_AT = {
     Eventually: 1.0,  # non-decreasing, capped at 1
     Until: 1.0,
@@ -118,9 +112,10 @@ def oracle_limit(ctx: EvalContext, f: Formula, pos: int, epsilon: float) -> Trut
         raise ValueError("epsilon must be positive")
     if not ctx.trace.is_lasso:
         raise NotALasso("limit brackets need a lasso trace")
-    make_bounded = _BOUNDED_FORM.get(type(f))
-    if make_bounded is None:
+    spec = OPERATORS.get(type(f))
+    if spec is None or not spec.unbounded:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
+    kids = children(f)
     start = ctx.trace.resolve(pos)
     rel_prefix = max(0, ctx.trace.loop_start - start)
     span = ctx.trace.loop_length
@@ -128,7 +123,7 @@ def oracle_limit(ctx: EvalContext, f: Formula, pos: int, epsilon: float) -> Trut
     previous = None
     for k in range(1, _BRACKET_BUDGET + 1):
         t = rel_prefix + k * span
-        current = evaluate(ctx, make_bounded(f, t), start).value
+        current = evaluate(ctx, spec.twin(t, *kids), start).value
         if pinned is not None and current == pinned:
             return current
         if previous is not None and abs(current - previous) < epsilon:

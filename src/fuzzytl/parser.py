@@ -13,7 +13,8 @@ Grammar (ASCII only; whitespace insignificant)::
               | "true" | "false" | atom | "(" formula ")"
 
 Atoms are ``[A-Za-z_][A-Za-z0-9_]*`` minus the keywords; ``X[k]`` abbreviates
-k nested next operators; bounds are decimal naturals capped at 10**6.
+k nested next operators; bounds are decimal naturals capped at 10**6.  The
+keywords, their brackets and their levels all come from ``core.OPERATORS``.
 """
 
 from __future__ import annotations
@@ -21,48 +22,50 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import (
-    AlmostAlways,
-    AlmostAlwaysB,
-    AlmostUntil,
-    AlmostUntilB,
-    Always,
-    AlwaysB,
-    And,
-    Atom,
-    Bot,
-    Eventually,
-    EventuallyB,
-    Formula,
-    Implies,
-    Lasts,
-    Next,
-    Not,
-    Or,
-    Scale,
-    Soon,
-    Top,
-    Until,
-    UntilB,
-    WeakAnd,
-    WeakOr,
-    Within,
-)
-from .errors import ParseError
+from .core import OPERATORS, Atom, Bound, Formula, Level, OpSpec, children
+from .errors import ParseError, ValidationError
 
 BOUND_CEILING = 10**6
 
-KEYWORDS = frozenset({"true", "false", "X", "S", "F", "G", "AG", "L", "W", "O", "U", "AU"})
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-#: Operators whose bracket bound is mandatory.
-_NEEDS_BOUND = frozenset({"L", "W", "O"})
+KEYWORDS = frozenset(
+    spec.keyword
+    for spec in OPERATORS.values()
+    if spec.keyword is not None and _IDENT_RE.fullmatch(spec.keyword)
+)
+
+#: Keyword -> row, for the prefix operators and constants and for the binary
+#: operators; twins share a keyword, and either row stands for both.
+_PREFIX = {
+    spec.keyword: spec
+    for spec in OPERATORS.values()
+    if spec.keyword is not None and spec.level >= Level.UNARY
+}
+_INFIX = {spec.keyword: spec for spec in OPERATORS.values() if spec.level < Level.UNARY}
+
+#: What may start a formula; a mandatory bracket shows as "L[".
+_FORMULA_START = frozenset(
+    {"atom", "("}
+    | {
+        kw + "[" if spec.bound in (Bound.REQUIRED, Bound.INDEX) else kw
+        for kw, spec in _PREFIX.items()
+    }
+)
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<name>{_IDENT_RE.pattern})"
     r"|(?P<int>[0-9]+)"
     r"|(?P<sym>&&|\|\||->|[!&|()\[\]])"
 )
+
+
+def _node(spec: OpSpec, t: int | None, *kids: Formula) -> Formula:
+    """The keyword's node, switching to the twin when the bracket says so."""
+    if (t is None) != (spec.param is None):
+        spec = OPERATORS[spec.twin]
+    return spec.cls(*kids) if t is None else spec.cls(t, *kids)
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class _Parser:
         self.i += 1
         return tok
 
-    def fail(self, message: str, expected: set[str]) -> "ParseError":
+    def fail(self, message: str, expected: "set[str] | frozenset[str]") -> "ParseError":
         tok = self.peek()
         return ParseError(message, (tok.start, tok.end), frozenset(expected))
 
@@ -137,124 +140,58 @@ class _Parser:
             return self.bound()
         return None
 
+    def bracket(self, kind: Bound) -> int | None:
+        if kind == Bound.NONE:
+            return None
+        if kind == Bound.OPTIONAL or kind == Bound.REPEAT:
+            return self.optional_bound()
+        return self.bound()
+
     # -- grammar -----------------------------------------------------------
 
-    def formula(self) -> Formula:
-        left = self.or_level()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "->":
+    def binary(self, level: int) -> Formula:
+        if level == Level.UNARY:
+            return self.unary()
+        left = self.binary(level + 1)
+        while True:
+            spec = _INFIX.get(self.peek().text)
+            if spec is None or spec.level != level:
+                return left
             self.advance()
-            right = self.formula()
-            return Implies(left, right)
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "|":
-                self.advance()
-                left = Or(left, self.and_level())
-            elif tok.kind == "sym" and tok.text == "||":
-                self.advance()
-                left = WeakOr(left, self.and_level())
-            else:
-                return left
-
-    def and_level(self) -> Formula:
-        left = self.until_level()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "&":
-                self.advance()
-                left = And(left, self.until_level())
-            elif tok.kind == "sym" and tok.text == "&&":
-                self.advance()
-                left = WeakAnd(left, self.until_level())
-            else:
-                return left
-
-    def until_level(self) -> Formula:
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "name" and tok.text in ("U", "AU"):
-                self.advance()
-                t = self.optional_bound()
-                right = self.unary()
-                if tok.text == "U":
-                    left = Until(left, right) if t is None else UntilB(t, left, right)
-                else:
-                    left = AlmostUntil(left, right) if t is None else AlmostUntilB(t, left, right)
-            else:
-                return left
+            t = self.bracket(spec.bound)
+            if level == Level.IMPLIES:
+                return _node(spec, t, left, self.binary(level))
+            left = _node(spec, t, left, self.binary(level + 1))
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "sym":
-            if tok.text == "!":
-                self.advance()
-                return Not(self.unary())
-            if tok.text == "(":
-                self.advance()
-                inner = self.formula()
-                self.expect_sym(")")
+        spec = _PREFIX.get(tok.text)
+        if spec is not None:
+            self.advance()
+            if spec.level == Level.LEAF:
+                return spec.cls()
+            t = self.bracket(spec.bound)
+            inner = self.unary()
+            if spec.bound == Bound.REPEAT:
+                for _ in range(1 if t is None else t):
+                    inner = spec.cls(inner)
                 return inner
-        elif tok.kind == "name":
-            text = tok.text
-            if text == "true":
-                self.advance()
-                return Top()
-            if text == "false":
-                self.advance()
-                return Bot()
-            if text == "X":
-                self.advance()
-                k = self.optional_bound()
-                inner = self.unary()
-                for _ in range(1 if k is None else k):
-                    inner = Next(inner)
-                return inner
-            if text == "S":
-                self.advance()
-                return Soon(self.unary())
-            if text == "F":
-                self.advance()
-                t = self.optional_bound()
-                inner = self.unary()
-                return Eventually(inner) if t is None else EventuallyB(t, inner)
-            if text == "G":
-                self.advance()
-                t = self.optional_bound()
-                inner = self.unary()
-                return Always(inner) if t is None else AlwaysB(t, inner)
-            if text == "AG":
-                self.advance()
-                t = self.optional_bound()
-                inner = self.unary()
-                return AlmostAlways(inner) if t is None else AlmostAlwaysB(t, inner)
-            if text in _NEEDS_BOUND:
-                self.advance()
-                t = self.bound()
-                inner = self.unary()
-                if text == "L":
-                    return Lasts(t, inner)
-                if text == "W":
-                    return Within(t, inner)
-                return Scale(t, inner)
-            if text not in KEYWORDS:
-                self.advance()
-                return Atom(text)
-        raise self.fail(
-            f"expected a formula, found {tok.text or 'end of input'!r}",
-            {"atom", "true", "false", "!", "(", "X", "S", "F", "G", "AG", "L[", "W[", "O["},
-        )
+            return _node(spec, t, inner)
+        if tok.kind == "sym" and tok.text == "(":
+            self.advance()
+            inner = self.binary(Level.IMPLIES)
+            self.expect_sym(")")
+            return inner
+        if tok.kind == "name" and tok.text not in KEYWORDS:
+            self.advance()
+            return Atom(tok.text)
+        raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}", _FORMULA_START)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula tree."""
     p = _Parser(text)
-    f = p.formula()
+    f = p.binary(Level.IMPLIES)
     tok = p.peek()
     if tok.kind != "eof":
         raise p.fail(f"trailing input {tok.text!r}", {"end of input"})
@@ -265,71 +202,48 @@ def parse(text: str) -> Formula:
 # Formatting
 # ---------------------------------------------------------------------------
 
-_IMPLIES, _OR, _AND, _UNTIL, _UNARY, _LEAF = range(6)
+
+def _atom_text(name: str) -> str:
+    if name in KEYWORDS or not _IDENT_RE.fullmatch(name):
+        raise ValidationError(f"atom {name!r} cannot be written in the concrete syntax")
+    return name
+
+
+def _head(spec: OpSpec, f: Formula) -> str:
+    if spec.param is None:
+        return spec.keyword
+    return f"{spec.keyword}[{getattr(f, spec.param)}]"
 
 
 def _join_unary(head: str, child: str) -> str:
-    if child and child[0] in "(!":
+    if child[0] in "(!" or not head[0].isalpha():
         return head + child
     return head + " " + child
 
 
 def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom):
-        return f.name, _LEAF
-    if isinstance(f, Top):
-        return "true", _LEAF
-    if isinstance(f, Bot):
-        return "false", _LEAF
-    if isinstance(f, Not):
-        return "!" + _fmt(f.arg, _UNARY), _UNARY
-    if isinstance(f, Next):
-        k = 0
-        inner: Formula = f
-        while isinstance(inner, Next):
-            k += 1
-            inner = inner.arg
-        head = "X" if k == 1 else f"X[{k}]"
-        return _join_unary(head, _fmt(inner, _UNARY)), _UNARY
-    if isinstance(f, Soon):
-        return _join_unary("S", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Eventually):
-        return _join_unary("F", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, EventuallyB):
-        return _join_unary(f"F[{f.bound}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Always):
-        return _join_unary("G", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, AlwaysB):
-        return _join_unary(f"G[{f.bound}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, AlmostAlways):
-        return _join_unary("AG", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, AlmostAlwaysB):
-        return _join_unary(f"AG[{f.bound}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Lasts):
-        return _join_unary(f"L[{f.bound}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Within):
-        return _join_unary(f"W[{f.bound}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Scale):
-        return _join_unary(f"O[{f.index}]", _fmt(f.arg, _UNARY)), _UNARY
-    if isinstance(f, Until):
-        return f"{_fmt(f.left, _UNTIL)} U {_fmt(f.right, _UNTIL + 1)}", _UNTIL
-    if isinstance(f, UntilB):
-        return f"{_fmt(f.left, _UNTIL)} U[{f.bound}] {_fmt(f.right, _UNTIL + 1)}", _UNTIL
-    if isinstance(f, AlmostUntil):
-        return f"{_fmt(f.left, _UNTIL)} AU {_fmt(f.right, _UNTIL + 1)}", _UNTIL
-    if isinstance(f, AlmostUntilB):
-        return f"{_fmt(f.left, _UNTIL)} AU[{f.bound}] {_fmt(f.right, _UNTIL + 1)}", _UNTIL
-    if isinstance(f, And):
-        return f"{_fmt(f.left, _AND)} & {_fmt(f.right, _AND + 1)}", _AND
-    if isinstance(f, WeakAnd):
-        return f"{_fmt(f.left, _AND)} && {_fmt(f.right, _AND + 1)}", _AND
-    if isinstance(f, Or):
-        return f"{_fmt(f.left, _OR)} | {_fmt(f.right, _OR + 1)}", _OR
-    if isinstance(f, WeakOr):
-        return f"{_fmt(f.left, _OR)} || {_fmt(f.right, _OR + 1)}", _OR
-    if isinstance(f, Implies):
-        return f"{_fmt(f.left, _IMPLIES + 1)} -> {_fmt(f.right, _IMPLIES)}", _IMPLIES
-    raise TypeError(f"unknown formula node {f!r}")
+    spec = OPERATORS.get(type(f))
+    if spec is None:
+        raise TypeError(f"unknown formula node {f!r}")
+    level = spec.level
+    if level == Level.LEAF:
+        return (_atom_text(f.name) if spec.cls is Atom else spec.keyword), level
+    if level == Level.UNARY:
+        if spec.bound == Bound.REPEAT:
+            k = 0
+            inner = f
+            while type(inner) is spec.cls:
+                k += 1
+                (inner,) = children(inner)
+            head = spec.keyword if k == 1 else f"{spec.keyword}[{k}]"
+        else:
+            head = _head(spec, f)
+            (inner,) = children(f)
+        return _join_unary(head, _fmt(inner, level)), level
+    left, right = children(f)
+    if level == Level.IMPLIES:  # right-associative
+        return f"{_fmt(left, level + 1)} {_head(spec, f)} {_fmt(right, level)}", level
+    return f"{_fmt(left, level)} {_head(spec, f)} {_fmt(right, level + 1)}", level
 
 
 def _fmt(f: Formula, min_level: int) -> str:
@@ -340,5 +254,9 @@ def _fmt(f: Formula, min_level: int) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(format_formula(f)) == f."""
-    return _fmt(f, _IMPLIES)
+    """Canonical text with minimal parentheses; parse(format_formula(f)) == f.
+
+    Raises ValidationError for an atom whose name is not an identifier or is
+    a keyword, since no text would parse back to it.
+    """
+    return _fmt(f, Level.IMPLIES)

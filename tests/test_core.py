@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from fuzzytl import core
 from fuzzytl.core import (
+    OPERATORS,
     AlwaysB,
     And,
     Atom,
@@ -18,6 +20,7 @@ from fuzzytl.core import (
     with_children,
 )
 from fuzzytl.errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
+from fuzzytl.evaluator import _HANDLERS
 
 
 def test_degree_accepts_unit_interval():
@@ -167,3 +170,21 @@ class TestFormulaNodes:
     def test_node_count(self):
         assert node_count(Atom("p")) == 1
         assert node_count(And(Atom("p"), Next(Atom("q")))) == 4
+
+
+def test_operator_table_has_one_row_and_one_handler_per_node_class():
+    classes = {
+        obj
+        for obj in vars(core).values()
+        if isinstance(obj, type) and issubclass(obj, core.Formula) and obj is not core.Formula
+    }
+    assert len(classes) == 24
+    assert set(OPERATORS) == classes
+    assert set(_HANDLERS) == classes
+    for cls, spec in OPERATORS.items():
+        assert spec.cls is cls
+        if spec.twin is not None:
+            twin = OPERATORS[spec.twin]
+            assert twin.twin is cls
+            assert (twin.keyword, twin.level, twin.bound) == (spec.keyword, spec.level, spec.bound)
+            assert (spec.param is None) != (twin.param is None)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fuzzytl.core import (
@@ -271,3 +273,16 @@ def test_top_past_the_end_is_still_out_of_range_when_strict():
     ctx = ctx_for(WORKED)
     with pytest.raises(HorizonExceedsTrace):
         evaluate(ctx, Next(Top()), 3)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+def test_lattice_connectives_are_exact_off_grid(interp):
+    rng = random.Random(11)
+    rows = tuple((rng.random(), rng.random()) for _ in range(200))
+    ctx = ctx_for(Trace(("p", "q"), rows), interp)
+    for pos, (a, b) in enumerate(rows):
+        assert evaluate(ctx, parse("p && q"), pos).value == min(a, b)
+        assert evaluate(ctx, parse("p || q"), pos).value == max(a, b)
+    chained = ctx_for(Trace(("p",), ((0.3,), (0.7,))), interp)
+    assert evaluate(chained, parse("p && X p")).value == 0.3
+    assert evaluate(chained, parse("p || X p")).value == 0.7

@@ -1,17 +1,21 @@
 import random
+import re
 
 import pytest
 
 from fuzzytl.checks import random_formula
 from fuzzytl.core import (
+    OPERATORS,
     AlmostAlwaysB,
     AlmostUntilB,
     And,
     Atom,
     Bot,
+    Bound,
     EventuallyB,
     Implies,
     Lasts,
+    Level,
     Next,
     Not,
     Or,
@@ -24,7 +28,7 @@ from fuzzytl.core import (
     WeakOr,
     Within,
 )
-from fuzzytl.errors import ParseError
+from fuzzytl.errors import ParseError, ValidationError
 from fuzzytl.parser import format_formula, parse
 
 
@@ -135,3 +139,21 @@ def test_round_trip_is_stable():
         f = random_formula(rng, depth=5, n_eta=3)
         once = format_formula(f)
         assert format_formula(parse(once)) == once
+
+
+@pytest.mark.parametrize("name", ["true", "U", "p q"])
+def test_format_rejects_atoms_that_cannot_round_trip(name):
+    with pytest.raises(ValidationError, match=re.escape(repr(name))):
+        format_formula(And(Atom(name), Atom("q")))
+
+
+def test_formula_start_is_the_tables_prefix_keywords():
+    prefix = {
+        spec.keyword + ("[" if spec.bound in (Bound.REQUIRED, Bound.INDEX) else "")
+        for spec in OPERATORS.values()
+        if spec.keyword is not None and spec.level >= Level.UNARY
+    }
+    assert prefix == {"true", "false", "!", "X", "S", "F", "G", "AG", "L[", "W[", "O["}
+    with pytest.raises(ParseError) as err:
+        parse("p & ")
+    assert err.value.expected == {"atom", "("} | prefix

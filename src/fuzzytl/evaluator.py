@@ -139,6 +139,22 @@ class ComparisonCounter:
 # ---------------------------------------------------------------------------
 
 
+def _insert_sorted(kept: list, entry) -> int:
+    """Binary-search ``entry`` into the ascending list ``kept``, after any
+    equal entries; returns the number of comparisons made."""
+    lo, hi = 0, len(kept)
+    n_cmp = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n_cmp += 1
+        if entry < kept[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    kept.insert(lo, entry)
+    return n_cmp
+
+
 def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
     """The ``keep`` smallest (value, position) pairs, ascending.
 
@@ -154,16 +170,7 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
             n_cmp += 1
             if entry >= kept[-1]:
                 continue
-        # binary search for the insertion point
-        lo, hi = 0, len(kept)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            n_cmp += 1
-            if entry < kept[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        kept.insert(lo, entry)
+        n_cmp += _insert_sorted(kept, entry)
         if len(kept) > keep:
             kept.pop()
     if counter is not None:
@@ -211,6 +218,50 @@ def _almost_always_value(
             if counter is not None:
                 counter.count += 1
     return best
+
+
+class _DropBuffer:
+    """Almost-always of a window that grows by one value at a time.
+
+    Holds the n_eta smallest values seen so far, ascending (values arrive in
+    position order and an equal value goes after those already kept, so ties
+    keep the earliest position, as in _select_smallest), and the t-norm fold
+    of every value that left them or never entered.  Dropping the j smallest
+    retains that fold and kept[j:], so one backward fold over the kept values
+    prices every j in O(n_eta).  Unlike _almost_always_value this does not
+    fold in window order: the same value under min, equal up to rounding
+    under the Archimedean t-norms.
+    """
+
+    __slots__ = ("_tnorm", "_weights", "_kept", "_rest")
+
+    def __init__(self, tnorm, eta: AvoidingFunction) -> None:
+        self._tnorm = tnorm
+        self._weights = eta.table  # eta(j) for every j < n_eta
+        self._kept: list[float] = []
+        self._rest: Optional[float] = None  # None while no value is outside kept
+
+    def push(self, v: float) -> float:
+        """Append ``v`` to the window; returns the window's almost-always value."""
+        kept = self._kept
+        tnorm = self._tnorm
+        weights = self._weights
+        if len(kept) == len(weights):
+            if v < kept[-1]:
+                _insert_sorted(kept, v)
+                v = kept.pop()
+            self._rest = v if self._rest is None else tnorm(self._rest, v)
+        else:
+            _insert_sorted(kept, v)
+        j = len(kept) - 1
+        acc = kept[j] if self._rest is None else tnorm(kept[j], self._rest)
+        best = acc * weights[j]
+        for j in range(j - 1, -1, -1):
+            acc = tnorm(kept[j], acc)
+            cand = acc * weights[j]
+            if cand > best:
+                best = cand
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +440,10 @@ def _au_window(ctx, f, pos, t, memo):
     left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
     best, ex = _eval(ctx, right, pos, memo)
-    values: list[float] = []
+    drops = _DropBuffer(tnorm, ctx.eta)
     for k in range(1, t + 1):
         pv, pex = _eval(ctx, left, pos + k - 1, memo)
-        values.append(pv)
-        relaxed = _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values)
+        relaxed = drops.push(pv)
         rv, rex = _eval(ctx, right, pos + k, memo)
         cand = tnorm(relaxed, rv)
         if cand > best:
@@ -467,13 +517,16 @@ def _unb_almost_always(ctx, f, pos, memo):
                 best = cand
         return best
     if all(v == 1.0 for v in loop):
+        # dropping the j smallest prefix values retains sp[j:]; folding from
+        # the back prices every j with one t-norm
         tnorm = ctx.ops.tnorm
         sp = sorted(prefix)
-        for j in range(eta.n_eta):
-            rest = sp[j:]
-            gj = _fold(tnorm, rest) if rest else 1.0
+        best = eta.lookup(len(sp))  # every prefix value dropped; only 1s remain
+        gj = None
+        for j in range(len(sp) - 1, -1, -1):
+            gj = sp[j] if gj is None else tnorm(sp[j], gj)
             cand = scale(gj, eta.lookup(j))
-            if best is None or cand > best:
+            if cand > best:
                 best = cand
         return best
     return 0.0
@@ -508,18 +561,19 @@ def _unb_until(ctx, f, pos, memo):
 
 
 def _unb_almost_until(ctx, f, pos, memo):
-    # same dominance argument; once the window spans n_eta values the relaxed
-    # product is non-increasing in the window, so one extra period suffices
+    # the same dominance argument: once the window holds n_eta values the j
+    # range is fixed and a further value can only lower every retained fold,
+    # so the relaxed product never increases and one extra period suffices
     left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
-    eta = ctx.eta
+    n_eta = ctx.eta.n_eta
     start, rel_prefix, span = _loop_shape(ctx, pos)
     best = _eval(ctx, right, start, memo)[0]
-    values: list[float] = []
-    k_max = max(rel_prefix, eta.n_eta) + span
-    for k in range(1, k_max + 1):
-        values.append(_eval(ctx, left, start + k - 1, memo)[0])
-        relaxed = _almost_always_value(ctx.interp, ctx.ops, eta, values)
+    drops = _DropBuffer(tnorm, ctx.eta)
+    for k in range(1, max(rel_prefix, n_eta) + span + 1):
+        relaxed = drops.push(_eval(ctx, left, start + k - 1, memo)[0])
+        if k >= n_eta and relaxed <= best:
+            break  # no later candidate can beat the relaxed product that caps it
         rv = _eval(ctx, right, start + k, memo)[0]
         cand = tnorm(relaxed, rv)
         if cand > best:

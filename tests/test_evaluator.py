@@ -30,6 +30,7 @@ from fuzzytl.evaluator import (
     eval_unbounded_lasso,
     evaluate,
 )
+from fuzzytl.oracle import oracle_almost_until
 from fuzzytl.parser import parse
 
 Z = Interpretation.ZADEH
@@ -124,6 +125,13 @@ class TestFinitePolicies:
             evaluate(ctx, parse("G[5] p"), 0)
         with pytest.raises(HorizonExceedsTrace):
             evaluate(ctx, parse("S p"), 2)
+
+    def test_strict_almost_until_reads_its_whole_window(self):
+        # the value is settled by s(0) = 0.5 long before the window ends, but
+        # the window still leaves the trace
+        trace = Trace(("f", "s"), ((0.0, 0.5), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(HorizonExceedsTrace):
+            evaluate(ctx_for(trace), parse("f AU[5] s"))
 
     def test_pad_zero_treats_missing_states_as_zero(self):
         ctx = ctx_for(WORKED, policy=FinitePolicy.PAD_ZERO)
@@ -286,3 +294,86 @@ def test_lattice_connectives_are_exact_off_grid(interp):
     chained = ctx_for(Trace(("p",), ((0.3,), (0.7,))), interp)
     assert evaluate(chained, parse("p && X p")).value == 0.3
     assert evaluate(chained, parse("p || X p")).value == 0.7
+
+
+def _close(interp, got, want):
+    if interp in (Z, G):
+        return got == want
+    return abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("table", [(1.0, 0.5, 0.25), (1.0, 0.875, 0.5, 0.375, 0.125)])
+def test_bounded_almost_until_matches_oracle_off_grid(interp, table):
+    eta = AvoidingFunction(table)
+    n = eta.n_eta
+    rng = random.Random(23)
+    rows = tuple((rng.random(), rng.random()) for _ in range(2 * n + 8))
+    ctx = ctx_for(Trace(("p", "q"), rows), interp, eta)
+    for t in (0, 1, n - 1, n, 2 * n + 3):
+        f = parse(f"p AU[{t}] q")
+        for pos in range(len(rows) - t):
+            got = evaluate(ctx, f, pos).value
+            want = oracle_almost_until(ctx, Atom("p"), Atom("q"), pos, t)
+            assert _close(interp, got, want), (t, pos, got, want)
+
+
+def _almost_until_full_scan(ctx, phi, psi, pos):
+    """The lasso almost-until as a max over every k of the scan, no early exit."""
+    trace = ctx.trace
+    start = trace.resolve(pos)
+    rel_prefix = max(0, trace.loop_start - start)
+    k_max = max(rel_prefix, ctx.eta.n_eta) + trace.loop_length
+    tnorm = ctx.ops.tnorm
+    best = evaluate(ctx, psi, start).value
+    for k in range(1, k_max + 1):
+        relaxed = almost_always_fast(ctx, phi, start, k - 1)
+        best = max(best, tnorm(relaxed, evaluate(ctx, psi, start + k).value))
+    return best
+
+
+_EXIT_CASES = {
+    # n_eta = 21 exceeds the pre-loop stretch plus the loop
+    "long-table": (
+        Trace(("f", "s"), ((0.9, 0.1), (0.35, 0.6), (0.8, 0.45)), loop_start=1),
+        AvoidingFunction.gaussian(20),
+    ),
+    # psi peaks at the last loop state, after phi has dipped
+    "late-peak": (
+        Trace(
+            ("f", "s"),
+            ((0.95, 0.0), (0.7, 0.1), (0.85, 0.05), (0.3, 0.2), (0.9, 0.0), (0.8, 0.97)),
+            loop_start=2,
+        ),
+        AvoidingFunction((1.0, 0.6, 0.2)),
+    ),
+    # relaxed dips under psi(0) before the window holds n_eta values, then
+    # recovers by dropping both dips: an exit before then stops short
+    "early-dip": (
+        Trace(("f", "s"), ((0.1, 0.15), (0.1, 0.0), (0.9, 0.0), (0.9, 1.0)), loop_start=3),
+        AvoidingFunction((1.0, 0.6, 0.2)),
+    ),
+    # crisp: almost-until is until once n_eta = 1
+    "crisp": (
+        Trace(
+            ("f", "s"),
+            ((1.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
+            loop_start=1,
+        ),
+        AvoidingFunction.crisp(),
+    ),
+}
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+def test_lasso_almost_until_exit_matches_full_scan(interp, case):
+    trace, eta = _EXIT_CASES[case]
+    ctx = ctx_for(trace, interp, eta)
+    f, s = Atom("f"), Atom("s")
+    for pos in range(len(trace) + 2):
+        got = eval_unbounded_lasso(ctx, AlmostUntil(f, s), pos)
+        want = _almost_until_full_scan(ctx, f, s, pos)
+        assert _close(interp, got, want), (pos, got, want)
+        if case == "crisp":
+            assert got == eval_unbounded_lasso(ctx, Until(f, s), pos)

@@ -56,7 +56,7 @@ from .evaluator import (
 )
 from .oracle import ltl_evaluate, oracle_almost_always, oracle_almost_until, oracle_limit
 from .parser import format_formula
-from .rewrite import in_adequate_set, lower_to_adequate, rewrite_once, rule_set
+from .rewrite import _nexts, in_adequate_set, lower_to_adequate, rewrite_once, rule_set
 
 TOL = 1e-12
 
@@ -359,14 +359,14 @@ def _chain_checks(
         report.check("eventually-unfold", abs(f_t - f_unf) <= TOL, d(ft=f_t, unfolded=f_unf))
         g_unf = v(And(phi, Next(AlwaysB(t - 1, phi))))
         report.check("always-unfold", abs(g_t - g_unf) <= TOL, d(gt=g_t, unfolded=g_unf))
-        step = _value(ctx, And(AlwaysB(t - 1, phi), _nest_next(t, psi)), pos)
+        step = _value(ctx, And(AlwaysB(t - 1, phi), _nexts(t, psi)), pos)
         u_prev = v(UntilB(t - 1, phi, psi))
         report.check(
             "until-recursion",
             abs(u_t - max(u_prev, step)) <= TOL,
             d(ut=u_t, u_prev=u_prev, step=step),
         )
-        step_au = _value(ctx, And(AlmostAlwaysB(t - 1, phi), _nest_next(t, psi)), pos)
+        step_au = _value(ctx, And(AlmostAlwaysB(t - 1, phi), _nexts(t, psi)), pos)
         au_prev = v(AlmostUntilB(t - 1, phi, psi))
         report.check(
             "almost-until-recursion",
@@ -415,12 +415,6 @@ def _chain_checks(
                 abs(g_inf - expected) <= TOL,
                 d(g=g_inf, prefix_product=expected),
             )
-
-
-def _nest_next(k: int, f: Formula) -> Formula:
-    for _ in range(k):
-        f = Next(f)
-    return f
 
 
 def run_chain_suite(seed: int, cases: int) -> SuiteReport:
@@ -607,38 +601,21 @@ def run_crisp_suite(seed: int, cases: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+#: Rule name -> the node class it rewrites (the same for every avoiding table).
+_RULE_PATTERNS = {name: rule.pattern for name, rule in rule_set(AvoidingFunction.crisp()).items()}
+
+
 def _pattern_instance(rng: random.Random, rule_name: str, n_eta: int) -> Formula:
-    sub = lambda: random_formula(rng, depth=1, n_eta=n_eta, allow_unbounded=False)
+    """A random node of the class the rule rewrites, over bounded children."""
+    spec = OPERATORS[_RULE_PATTERNS[rule_name]]
     t = rng.randint(0, 3)
     j = rng.randint(1, max(1, n_eta - 1))
-    instances = {
-        "FG-dual": lambda: Always(sub()),
-        "GF-dual": lambda: Eventually(sub()),
-        "F-from-until": lambda: Eventually(sub()),
-        "demorgan-or": lambda: Or(sub(), sub()),
-        "demorgan-and": lambda: And(sub(), sub()),
-        "implies-material": lambda: Implies(sub(), sub()),
-        "not-via-implies": lambda: Not(sub()),
-        "or-as-lattice": lambda: Or(sub(), sub()),
-        "weak-and-collapse": lambda: WeakAnd(sub(), sub()),
-        "weak-or-collapse": lambda: WeakOr(sub(), sub()),
-        "weak-and-define": lambda: WeakAnd(sub(), sub()),
-        "weak-or-define": lambda: WeakOr(sub(), sub()),
-        "F-unfold": lambda: EventuallyB(t, sub()),
-        "G-unfold": lambda: AlwaysB(t, sub()),
-        "U-unfold": lambda: UntilB(t, sub(), sub()),
-        "U-unfold-w": lambda: UntilB(t, sub(), sub()),
-        "AU-unfold": lambda: AlmostUntilB(t, sub(), sub()),
-        "AU-unfold-w": lambda: AlmostUntilB(t, sub(), sub()),
-        "scale-to-and": lambda: Scale(j, sub()),
-        "soon-expand": lambda: Soon(sub()),
-        "within-expand": lambda: Within(t, sub()),
-        "lasts-expand": lambda: Lasts(t, sub()),
-        "lasts-expand-w": lambda: Lasts(t, sub()),
-        "ag-expand": lambda: AlmostAlwaysB(t, sub()),
-        "ag-expand-w": lambda: AlmostAlwaysB(t, sub()),
-    }
-    return instances[rule_name]()
+    if spec.bound == Bound.INDEX:
+        params: tuple[int, ...] = (j,)
+    else:
+        params = () if spec.param is None else (t,)
+    kids = [random_formula(rng, depth=1, n_eta=n_eta, allow_unbounded=False) for _ in spec.children]
+    return spec.cls(*params, *kids)
 
 
 #: The lowering corpus: formulas every lowering target must handle.  Unbounded

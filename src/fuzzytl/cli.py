@@ -216,7 +216,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_demo(args: argparse.Namespace) -> int:
-    trace = generate_day(args.minutes, args.seed)
+    try:
+        trace = generate_day(args.minutes, args.seed)
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return _EXIT_VALIDATION
     try:
         save_trace(trace, args.out)
     except OSError as exc:

@@ -22,8 +22,12 @@ ETA_ATOM_PREFIX = "__eta_"
 
 
 def degree(value: float) -> TruthDegree:
-    """Validate and return a truth degree; rejects anything outside [0, 1]."""
-    value = float(value)
+    """Validate and return a truth degree; rejects non-numbers and anything
+    outside [0, 1]."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"truth degree {value!r} is not a number") from exc
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"truth degree {value!r} outside [0, 1]")
     return value
@@ -437,9 +441,10 @@ class Trace:
                     f"state {i} has {len(row)} entries for {len(atoms)} atoms"
                 )
         if self.loop_start is not None:
-            if not isinstance(self.loop_start, int) or not 0 <= self.loop_start < len(states):
+            loop = self.loop_start
+            if not isinstance(loop, int) or isinstance(loop, bool) or not 0 <= loop < len(states):
                 raise ValidationError(
-                    f"loop start {self.loop_start!r} outside 0..{len(states) - 1}"
+                    f"loop start {loop!r} outside 0..{len(states) - 1}"
                 )
         self._index.update({name: k for k, name in enumerate(atoms)})
         object.__setattr__(self, "_length", len(states))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 from .core import (
@@ -52,14 +53,18 @@ _G = Interpretation.GODEL
 _L = Interpretation.LUKASIEWICZ
 _P = Interpretation.PRODUCT
 
-Transform = Callable[[Formula], Optional[Formula]]
+Transform = Callable[[Formula], Formula]
 
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A named pattern -> replacement, sound under the listed interpretations."""
+    """A named rewrite of one node class, sound under the listed interpretations.
+
+    ``transform`` is only called on nodes whose type is exactly ``pattern``.
+    """
 
     name: str
+    pattern: type
     applicable_interps: frozenset
     transform: Transform
 
@@ -68,27 +73,6 @@ def _nexts(k: int, f: Formula) -> Formula:
     for _ in range(k):
         f = Next(f)
     return f
-
-
-def _fold_or(terms: list[Formula]) -> Formula:
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = Or(acc, term)
-    return acc
-
-
-def _fold_weak_or(terms: list[Formula]) -> Formula:
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = WeakOr(acc, term)
-    return acc
-
-
-def _fold_and(terms: list[Formula]) -> Formula:
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = And(acc, term)
-    return acc
 
 
 def eta_atom(j: int) -> Atom:
@@ -100,114 +84,82 @@ def eta_atom(j: int) -> Atom:
 
 
 def _t_fg_dual(f):
-    if isinstance(f, Always):
-        return Not(Eventually(Not(f.arg)))
-    return None
+    return Not(Eventually(Not(f.arg)))
 
 
 def _t_gf_dual(f):
-    if isinstance(f, Eventually):
-        return Not(Always(Not(f.arg)))
-    return None
+    return Not(Always(Not(f.arg)))
 
 
 def _t_f_from_until(f):
-    if isinstance(f, Eventually):
-        return Until(Top(), f.arg)
-    return None
+    return Until(Top(), f.arg)
 
 
 def _t_demorgan_or(f):
-    if isinstance(f, Or):
-        return Not(And(Not(f.left), Not(f.right)))
-    return None
+    return Not(And(Not(f.left), Not(f.right)))
 
 
 def _t_demorgan_and(f):
-    if isinstance(f, And):
-        return Not(Or(Not(f.left), Not(f.right)))
-    return None
+    return Not(Or(Not(f.left), Not(f.right)))
 
 
 def _t_implies_material(f):
-    if isinstance(f, Implies):
-        return Or(Not(f.left), f.right)
-    return None
+    return Or(Not(f.left), f.right)
 
 
 def _t_not_via_implies(f):
-    if isinstance(f, Not):
-        return Implies(f.arg, Bot())
-    return None
+    return Implies(f.arg, Bot())
 
 
 def _t_or_as_lattice(f):
-    if isinstance(f, Or):
-        return WeakOr(f.left, f.right)
-    return None
+    return WeakOr(f.left, f.right)
 
 
 def _t_weak_and_collapse(f):
-    if isinstance(f, WeakAnd):
-        return And(f.left, f.right)
-    return None
+    return And(f.left, f.right)
 
 
 def _t_weak_or_collapse(f):
-    if isinstance(f, WeakOr):
-        return Or(f.left, f.right)
-    return None
+    return Or(f.left, f.right)
 
 
 def _t_weak_and_define(f):
-    if isinstance(f, WeakAnd):
-        return And(f.left, Implies(f.left, f.right))
-    return None
+    return And(f.left, Implies(f.left, f.right))
 
 
 def _t_weak_or_define(f):
-    if isinstance(f, WeakOr):
-        l, r = f.left, f.right
-        return WeakAnd(Implies(Implies(l, r), r), Implies(Implies(r, l), l))
-    return None
+    l, r = f.left, f.right
+    return WeakAnd(Implies(Implies(l, r), r), Implies(Implies(r, l), l))
 
 
 def _t_f_unfold(f):
-    if isinstance(f, EventuallyB):
-        if f.bound == 0:
-            return f.arg
-        return Or(f.arg, Next(EventuallyB(f.bound - 1, f.arg)))
-    return None
+    if f.bound == 0:
+        return f.arg
+    return Or(f.arg, Next(EventuallyB(f.bound - 1, f.arg)))
 
 
 def _t_g_unfold(f):
-    if isinstance(f, AlwaysB):
-        if f.bound == 0:
-            return f.arg
-        return And(f.arg, Next(AlwaysB(f.bound - 1, f.arg)))
-    return None
+    if f.bound == 0:
+        return f.arg
+    return And(f.arg, Next(AlwaysB(f.bound - 1, f.arg)))
 
 
 def _make_u_unfold(disj):
     def transform(f):
-        if isinstance(f, UntilB):
-            if f.bound == 0:
-                return f.right
-            return disj(f.right, And(f.left, Next(UntilB(f.bound - 1, f.left, f.right))))
-        return None
+        if f.bound == 0:
+            return f.right
+        return disj(f.right, And(f.left, Next(UntilB(f.bound - 1, f.left, f.right))))
 
     return transform
 
 
 def _make_au_unfold(disj):
     def transform(f):
-        if isinstance(f, AlmostUntilB):
-            if f.bound == 0:
-                return f.right
-            t = f.bound
-            step = And(AlmostAlwaysB(t - 1, f.left), _nexts(t, f.right))
-            return disj(AlmostUntilB(t - 1, f.left, f.right), step)
-        return None
+        if f.bound == 0:
+            return f.right
+        t = f.bound
+        step = And(AlmostAlwaysB(t - 1, f.left), _nexts(t, f.right))
+        return disj(AlmostUntilB(t - 1, f.left, f.right), step)
 
     return transform
 
@@ -215,9 +167,7 @@ def _make_au_unfold(disj):
 def _t_scale_to_and(f):
     # under the product t-norm, multiplying by eta(j) is conjunction with the
     # constant companion atom
-    if isinstance(f, Scale):
-        return And(f.arg, eta_atom(f.index))
-    return None
+    return And(f.arg, eta_atom(f.index))
 
 
 # -- expansions built against a concrete avoiding table ----------------------
@@ -225,87 +175,85 @@ def _t_scale_to_and(f):
 
 def _make_soon_expand(eta: AvoidingFunction):
     def transform(f):
-        if isinstance(f, Soon):
-            terms = [Next(f.arg)]
-            for d in range(2, eta.n_eta + 1):
-                terms.append(_nexts(d, Scale(d - 1, f.arg)))
-            return _fold_or(terms)
-        return None
+        terms = [Next(f.arg)]
+        for d in range(2, eta.n_eta + 1):
+            terms.append(_nexts(d, Scale(d - 1, f.arg)))
+        return reduce(Or, terms)
 
     return transform
 
 
 def _make_within_expand(eta: AvoidingFunction):
     def transform(f):
-        if isinstance(f, Within):
-            t = f.bound
-            terms: list[Formula] = [EventuallyB(t, f.arg)]
-            for d in range(t + 1, t + eta.n_eta):
-                terms.append(_nexts(d, Scale(d - t, f.arg)))
-            return _fold_or(terms)
-        return None
+        t = f.bound
+        terms: list[Formula] = [EventuallyB(t, f.arg)]
+        for d in range(t + 1, t + eta.n_eta):
+            terms.append(_nexts(d, Scale(d - t, f.arg)))
+        return reduce(Or, terms)
 
     return transform
 
 
-def _make_lasts_expand(eta: AvoidingFunction, fold_max):
+def _make_lasts_expand(eta: AvoidingFunction, disj):
     def transform(f):
-        if isinstance(f, Lasts):
-            t = f.bound
-            terms: list[Formula] = []
-            for j in range(min(t, eta.n_eta - 1) + 1):
-                body = AlwaysB(t - j, f.arg)
+        t = f.bound
+        terms: list[Formula] = []
+        for j in range(min(t, eta.n_eta - 1) + 1):
+            body = AlwaysB(t - j, f.arg)
+            terms.append(body if j == 0 else Scale(j, body))
+        return reduce(disj, terms)
+
+    return transform
+
+
+def _make_ag_expand(eta: AvoidingFunction, disj):
+    def transform(f):
+        t = f.bound
+        terms: list[Formula] = []
+        for j in range(min(t, eta.n_eta - 1) + 1):
+            for kept in itertools.combinations(range(t + 1), t + 1 - j):
+                body = reduce(And, [_nexts(h, f.arg) for h in kept])
                 terms.append(body if j == 0 else Scale(j, body))
-            return fold_max(terms)
-        return None
-
-    return transform
-
-
-def _make_ag_expand(eta: AvoidingFunction, fold_max):
-    def transform(f):
-        if isinstance(f, AlmostAlwaysB):
-            t = f.bound
-            terms: list[Formula] = []
-            for j in range(min(t, eta.n_eta - 1) + 1):
-                for kept in itertools.combinations(range(t + 1), t + 1 - j):
-                    body = _fold_and([_nexts(h, f.arg) for h in kept])
-                    terms.append(body if j == 0 else Scale(j, body))
-            return fold_max(terms)
-        return None
+        return reduce(disj, terms)
 
     return transform
 
 
 def rule_set(eta: AvoidingFunction) -> dict[str, RewriteRule]:
-    """Every shipped rule, with the relaxed-operator expansions bound to eta."""
+    """Every shipped rule, with the relaxed-operator expansions bound to eta.
+
+    List order is preference: lowering removes a node kind with the first
+    rule for its class that is sound under the interpretation.
+    """
     all_four = frozenset({_Z, _G, _L, _P})
+    zl, zg, lp = frozenset({_Z, _L}), frozenset({_Z, _G}), frozenset({_L, _P})
+    glp = frozenset({_G, _L, _P})
     rules = [
-        RewriteRule("FG-dual", frozenset({_Z, _L}), _t_fg_dual),
-        RewriteRule("GF-dual", frozenset({_Z, _L}), _t_gf_dual),
-        RewriteRule("F-from-until", frozenset({_Z, _G}), _t_f_from_until),
-        RewriteRule("demorgan-or", frozenset({_Z, _L}), _t_demorgan_or),
-        RewriteRule("demorgan-and", frozenset({_Z, _L}), _t_demorgan_and),
-        RewriteRule("implies-material", frozenset({_Z, _L}), _t_implies_material),
-        RewriteRule("not-via-implies", all_four, _t_not_via_implies),
-        RewriteRule("or-as-lattice", frozenset({_Z, _G}), _t_or_as_lattice),
-        RewriteRule("weak-and-collapse", frozenset({_Z, _G}), _t_weak_and_collapse),
-        RewriteRule("weak-or-collapse", frozenset({_Z, _G}), _t_weak_or_collapse),
-        RewriteRule("weak-and-define", frozenset({_G, _L, _P}), _t_weak_and_define),
-        RewriteRule("weak-or-define", frozenset({_G, _L, _P}), _t_weak_or_define),
-        RewriteRule("F-unfold", all_four, _t_f_unfold),
-        RewriteRule("G-unfold", all_four, _t_g_unfold),
-        RewriteRule("U-unfold", frozenset({_Z, _G}), _make_u_unfold(Or)),
-        RewriteRule("U-unfold-w", frozenset({_L, _P}), _make_u_unfold(WeakOr)),
-        RewriteRule("AU-unfold", frozenset({_Z, _G}), _make_au_unfold(Or)),
-        RewriteRule("AU-unfold-w", frozenset({_L, _P}), _make_au_unfold(WeakOr)),
-        RewriteRule("scale-to-and", frozenset({_P}), _t_scale_to_and),
-        RewriteRule("soon-expand", all_four, _make_soon_expand(eta)),
-        RewriteRule("within-expand", all_four, _make_within_expand(eta)),
-        RewriteRule("lasts-expand", frozenset({_Z, _G}), _make_lasts_expand(eta, _fold_or)),
-        RewriteRule("lasts-expand-w", frozenset({_L, _P}), _make_lasts_expand(eta, _fold_weak_or)),
-        RewriteRule("ag-expand", frozenset({_Z, _G}), _make_ag_expand(eta, _fold_or)),
-        RewriteRule("ag-expand-w", frozenset({_L, _P}), _make_ag_expand(eta, _fold_weak_or)),
+        RewriteRule("FG-dual", Always, zl, _t_fg_dual),
+        RewriteRule("F-from-until", Eventually, zg, _t_f_from_until),
+        RewriteRule("GF-dual", Eventually, zl, _t_gf_dual),
+        RewriteRule("demorgan-or", Or, zl, _t_demorgan_or),
+        RewriteRule("demorgan-and", And, zl, _t_demorgan_and),
+        RewriteRule("implies-material", Implies, zl, _t_implies_material),
+        RewriteRule("not-via-implies", Not, all_four, _t_not_via_implies),
+        RewriteRule("or-as-lattice", Or, zg, _t_or_as_lattice),
+        RewriteRule("weak-and-define", WeakAnd, glp, _t_weak_and_define),
+        RewriteRule("weak-and-collapse", WeakAnd, zg, _t_weak_and_collapse),
+        RewriteRule("weak-or-define", WeakOr, glp, _t_weak_or_define),
+        RewriteRule("weak-or-collapse", WeakOr, zg, _t_weak_or_collapse),
+        RewriteRule("F-unfold", EventuallyB, all_four, _t_f_unfold),
+        RewriteRule("G-unfold", AlwaysB, all_four, _t_g_unfold),
+        RewriteRule("U-unfold", UntilB, zg, _make_u_unfold(Or)),
+        RewriteRule("U-unfold-w", UntilB, lp, _make_u_unfold(WeakOr)),
+        RewriteRule("AU-unfold", AlmostUntilB, zg, _make_au_unfold(Or)),
+        RewriteRule("AU-unfold-w", AlmostUntilB, lp, _make_au_unfold(WeakOr)),
+        RewriteRule("scale-to-and", Scale, frozenset({_P}), _t_scale_to_and),
+        RewriteRule("soon-expand", Soon, all_four, _make_soon_expand(eta)),
+        RewriteRule("within-expand", Within, all_four, _make_within_expand(eta)),
+        RewriteRule("lasts-expand", Lasts, zg, _make_lasts_expand(eta, Or)),
+        RewriteRule("lasts-expand-w", Lasts, lp, _make_lasts_expand(eta, WeakOr)),
+        RewriteRule("ag-expand", AlmostAlwaysB, zg, _make_ag_expand(eta, Or)),
+        RewriteRule("ag-expand-w", AlmostAlwaysB, lp, _make_ag_expand(eta, WeakOr)),
     ]
     return {rule.name: rule for rule in rules}
 
@@ -316,9 +264,8 @@ def rule_set(eta: AvoidingFunction) -> dict[str, RewriteRule]:
 
 
 def _rewrite_first(f: Formula, rule: RewriteRule) -> Optional[Formula]:
-    replaced = rule.transform(f)
-    if replaced is not None:
-        return replaced
+    if type(f) is rule.pattern:
+        return rule.transform(f)
     kids = children(f)
     for i, kid in enumerate(kids):
         new_kid = _rewrite_first(kid, rule)
@@ -342,71 +289,6 @@ _TARGETS = {
 }
 
 _ALWAYS_OK = frozenset({Atom, Top, Bot})
-
-#: Which rule removes which offending node kind, per interpretation.
-_STRATEGIES = {
-    _Z: {
-        Or: "demorgan-or",
-        Implies: "implies-material",
-        WeakAnd: "weak-and-collapse",
-        WeakOr: "weak-or-collapse",
-        Soon: "soon-expand",
-        EventuallyB: "F-unfold",
-        AlwaysB: "G-unfold",
-        Within: "within-expand",
-        Lasts: "lasts-expand",
-        AlmostAlwaysB: "ag-expand",
-        UntilB: "U-unfold",
-        AlmostUntilB: "AU-unfold",
-        Eventually: "F-from-until",
-        Always: "FG-dual",
-    },
-    _G: {
-        Not: "not-via-implies",
-        Or: "or-as-lattice",
-        WeakAnd: "weak-and-define",
-        WeakOr: "weak-or-define",
-        Soon: "soon-expand",
-        EventuallyB: "F-unfold",
-        AlwaysB: "G-unfold",
-        Within: "within-expand",
-        Lasts: "lasts-expand",
-        AlmostAlwaysB: "ag-expand",
-        UntilB: "U-unfold",
-        AlmostUntilB: "AU-unfold",
-        Eventually: "F-from-until",
-    },
-    _L: {
-        Not: "not-via-implies",
-        Or: "demorgan-or",
-        WeakAnd: "weak-and-define",
-        WeakOr: "weak-or-define",
-        Soon: "soon-expand",
-        EventuallyB: "F-unfold",
-        AlwaysB: "G-unfold",
-        Within: "within-expand",
-        Lasts: "lasts-expand-w",
-        AlmostAlwaysB: "ag-expand-w",
-        UntilB: "U-unfold-w",
-        AlmostUntilB: "AU-unfold-w",
-        Always: "FG-dual",
-    },
-    _P: {
-        Not: "not-via-implies",
-        WeakAnd: "weak-and-define",
-        WeakOr: "weak-or-define",
-        Soon: "soon-expand",
-        EventuallyB: "F-unfold",
-        AlwaysB: "G-unfold",
-        Within: "within-expand",
-        Lasts: "lasts-expand-w",
-        AlmostAlwaysB: "ag-expand-w",
-        UntilB: "U-unfold-w",
-        AlmostUntilB: "AU-unfold-w",
-        Scale: "scale-to-and",
-    },
-}
-
 
 def adequate_connectives(interp: Interpretation) -> frozenset:
     """The node kinds a fully lowered formula may contain."""
@@ -453,17 +335,15 @@ class _LoweringState:
         return self.total > self.budget
 
 
-def _lower_node(f: Formula, strategy, rules, allowed, state: _LoweringState) -> Formula:
+def _lower_node(f: Formula, strategy, allowed, state: _LoweringState) -> Formula:
     while type(f) not in allowed:
-        rule_name = strategy.get(type(f))
-        if rule_name is None:
+        rule = strategy.get(type(f))
+        if rule is None:
             raise NotLowerable(
                 f"no sound rule removes {type(f).__name__} under this interpretation",
                 partial=f,
             )
-        new = rules[rule_name].transform(f)
-        if new is None:
-            raise NotLowerable(f"rule {rule_name} did not apply to {type(f).__name__}", partial=f)
+        new = rule.transform(f)
         state.charge(f, new)
         f = new
         if state.over_budget():
@@ -476,7 +356,7 @@ def _lower_node(f: Formula, strategy, rules, allowed, state: _LoweringState) -> 
     lowered: list[Formula] = []
     for i, kid in enumerate(kids):
         try:
-            lowered.append(_lower_node(kid, strategy, rules, allowed, state))
+            lowered.append(_lower_node(kid, strategy, allowed, state))
         except (BudgetExceeded, NotLowerable) as exc:
             exc.partial = with_children(f, (*lowered, exc.partial, *kids[i + 1:]))
             raise
@@ -499,13 +379,16 @@ def lower_to_adequate(
     """
     if eta is None:
         eta = AvoidingFunction.crisp()
-    rules = rule_set(eta)
     allowed = adequate_connectives(interp)
-    strategy = _STRATEGIES[interp]
+    # the first sound rule for each node class, in rule_set's preference order
+    strategy: dict[type, RewriteRule] = {}
+    for rule in rule_set(eta).values():
+        if interp in rule.applicable_interps:
+            strategy.setdefault(rule.pattern, rule)
     state = _LoweringState(budget)
     state.total = state.size(f)
     if state.over_budget():
         raise BudgetExceeded(
             f"input already has {state.total} nodes (budget {budget})", partial=f
         )
-    return _lower_node(f, strategy, rules, allowed, state)
+    return _lower_node(f, strategy, allowed, state)

@@ -34,7 +34,7 @@ def trace_from_json(text: str) -> Trace:
     if not isinstance(states, list) or not all(isinstance(r, list) for r in states):
         raise ValidationError("'states' must be a list of rows")
     loop = doc.get("loop")
-    if loop is not None and not isinstance(loop, int):
+    if loop is not None and (not isinstance(loop, int) or isinstance(loop, bool)):
         raise ValidationError(f"'loop' must be an integer index, got {loop!r}")
     return Trace(atoms, tuple(tuple(row) for row in states), loop)
 

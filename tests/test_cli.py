@@ -97,6 +97,13 @@ class TestEval:
         assert main(["eval", "--formula", "X[9] p", "--trace", table3]) == 3
         assert main(["eval", "--formula", "q", "--trace", table3]) == 3
 
+    @pytest.mark.parametrize("cell", ['"x"', "null"])
+    def test_non_numeric_degree_is_a_validation_error(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"atoms":["p"],"states":[[%s]]}' % cell)
+        assert main(["eval", "--formula", "p", "--trace", str(bad)]) == 2
+        assert "validation error" in capsys.readouterr().err
+
     def test_pad_zero_policy(self, table3, capsys):
         rc = main(
             ["eval", "--formula", "X[9] p", "--trace", table3, "--finite-policy", "pad-zero"]
@@ -216,6 +223,13 @@ class TestGenDemo:
     def test_unwritable_path(self, tmp_path):
         rc = main(["gen-demo", "--minutes", "5", "--out", str(tmp_path / "no" / "dir" / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("minutes", ["0", "-3"])
+    def test_empty_day_is_a_validation_error(self, tmp_path, capsys, minutes):
+        rc = main(["gen-demo", "--minutes", minutes, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAvailabilityFormula:

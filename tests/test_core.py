@@ -29,7 +29,7 @@ def test_degree_accepts_unit_interval():
     assert degree(0.25) == 0.25
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, -1e-9, float("nan"), "x", None])
 def test_degree_rejects_outside_unit_interval(bad):
     with pytest.raises(ValidationError):
         degree(bad)
@@ -138,6 +138,11 @@ class TestTrace:
     def test_rejects_bad_loop_index(self):
         with pytest.raises(ValidationError):
             Trace(("p",), ((0.5,),), loop_start=1)
+
+    def test_rejects_boolean_loop_index(self):
+        # bool is an int subclass; True would otherwise pass as loop 1
+        with pytest.raises(ValidationError):
+            Trace(("p",), ((0.5,), (0.5,)), loop_start=True)
 
     def test_rejects_out_of_range_degrees(self):
         with pytest.raises(ValidationError):

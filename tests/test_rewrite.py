@@ -85,6 +85,33 @@ class TestRuleSoundness:
                 assert abs(v0 - v1) <= 1e-12, (name, interp, format_formula(before))
 
 
+class TestRulePatterns:
+    @pytest.mark.parametrize("name", sorted(RULES_3))
+    def test_rule_rewrites_its_own_pattern_at_the_root(self, name):
+        # a rule whose pattern names the wrong class would match nothing (or
+        # only some child) and still pass the value-preservation sweep
+        from fuzzytl.checks import _pattern_instance
+
+        rule = RULES_3[name]
+        rng = random.Random(name)
+        for _ in range(10):
+            before = _pattern_instance(rng, name, ETA_3.n_eta)
+            assert type(before) is rule.pattern
+            after = rewrite_once(before, rule)
+            assert after == rule.transform(before) != before, (name, format_formula(before))
+
+    @pytest.mark.parametrize(
+        "text, interp, lowered",
+        [
+            ("F p", Z, "true U p"),  # F-from-until, not GF-dual
+            ("p && q", G, "p & (p -> q)"),  # weak-and-define, not weak-and-collapse
+            ("p || q", Z, "!(!p & !q)"),  # weak-or-collapse, then demorgan-or
+        ],
+    )
+    def test_lowering_takes_the_first_sound_rule(self, text, interp, lowered):
+        assert lower_to_adequate(parse(text), interp, eta=ETA_3) == parse(lowered)
+
+
 class TestLowering:
     @pytest.mark.parametrize("interp", [Z, G, L, P], ids=lambda i: i.value)
     def test_lowering_reaches_target_and_preserves_value(self, interp):

@@ -65,6 +65,9 @@ def test_encodings_evaluate_identically(tmp_path):
         '{"atoms": ["U"], "states": [[0.5]]}',
         '{"atoms": ["p"], "states": [[1.5]]}',
         '{"atoms": ["p"], "states": [[0.5], [0.1, 0.2]]}',
+        '{"atoms": ["p"], "states": [["x"]]}',
+        '{"atoms": ["p"], "states": [[null]]}',
+        '{"atoms": ["p"], "states": [[0.5]], "loop": true}',
     ],
 )
 def test_bad_json_rejected(bad):

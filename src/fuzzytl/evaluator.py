@@ -3,12 +3,18 @@
 Bounded operators evaluate their window directly; unbounded operators reach
 their exact limit on lasso traces and fall back to the largest window that
 fits on finite traces, tagging the result with a bound direction.
+
+One ``evaluate`` call keeps a value column per subformula it touches, so a
+window reads its child's values as one list slice once they are computed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, compress, islice
 from typing import Optional
 
 from . import algebra
@@ -178,12 +184,18 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
     return kept
 
 
+#: Connective -> a C-level left fold giving the same bits as folding it in
+#: position order: min and max keep the first of equal values, as _minimum
+#: and _maximum do, and math.prod multiplies left to right from 1.
+_C_FOLDS = {algebra._minimum: min, algebra._maximum: max, algebra._prod_tnorm: math.prod}
+
+
 def _fold(op, values) -> float:
-    it = iter(values)
-    acc = next(it)
-    for v in it:
-        acc = op(acc, v)
-    return acc
+    """Left fold of ``op`` over non-empty ``values`` in position order."""
+    c_fold = _C_FOLDS.get(op)
+    if c_fold is not None:
+        return c_fold(values)
+    return functools.reduce(op, values)
 
 
 def _almost_always_value(
@@ -209,10 +221,11 @@ def _almost_always_value(
                 counter.count += 1
     else:
         tnorm = ops.tnorm
+        retain = [True] * m
         for j in range(j_max + 1):
-            dropped = {p for _, p in kept[:j]}
-            retained = (v for p, v in enumerate(values) if p not in dropped)
-            cand = scale(_fold(tnorm, retained), eta.lookup(j))
+            if j:
+                retain[kept[j - 1][1]] = False  # drop the j-th smallest too
+            cand = scale(_fold(tnorm, compress(values, retain)), eta.lookup(j))
             if best is None or cand > best:
                 best = cand
             if counter is not None:
@@ -281,16 +294,89 @@ def _canonical_tail(ctx: EvalContext, pos: int) -> int:
     return trace._length  # every padded position is the same all-zero state
 
 
+class _Columns(dict):
+    """The memo of one evaluation: ``id(node)`` -> the node's column.
+
+    A column holds the node's values at positions base, base+1, ... (None
+    while not computed), and a sparse dict of the positions whose exactness
+    is not Exact.  It starts with at most 64 slots, which covers a short
+    trace whole, and grows only as far as the evaluation reads, so a wide
+    formula evaluated at one position of a long trace stays small.
+    ``base`` is the lowest position the evaluation can read: the evaluated
+    position (past a finite trace, its padded tail at len(trace)), or the
+    loop start of a lasso if that is lower.
+
+    Keying by ``id`` means a lookup never hashes a subtree.  That is sound
+    because the evaluator never builds formula nodes: every key is a node of
+    the formula being evaluated, which the caller keeps alive for the whole
+    call, so no id is reused while the memo lives.
+    """
+
+    __slots__ = ("base", "_first")
+
+    def __init__(self, trace: Trace, pos: int) -> None:
+        self.base = min(pos, len(trace) if trace.loop_start is None else trace.loop_start)
+        self._first = min(len(trace) + 1 - self.base, 64)
+
+    def __missing__(self, key: int):
+        col = self[key] = ([None] * self._first, {})
+        return col
+
+
 def _eval(ctx, f, pos, memo):
     if pos >= ctx.trace._length:
         pos = _canonical_tail(ctx, pos)
-    key = (f, pos)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    result = _HANDLERS[type(f)](ctx, f, pos, memo)
-    memo[key] = result
-    return result
+    values, inexact = memo[id(f)]
+    i = pos - memo.base
+    if i < len(values):
+        v = values[i]
+        if v is not None:
+            return v, inexact.get(pos, _EXACT)
+    else:
+        values.extend([None] * (i + 1 - len(values)))
+    v, ex = _HANDLERS[type(f)](ctx, f, pos, memo)
+    values[i] = v
+    if ex is not _EXACT:
+        inexact[pos] = ex
+    return v, ex
+
+
+def _first_missing(arg, start, stop, memo) -> int:
+    """The first position in start .. stop-1 where ``arg`` is not yet
+    computed, or ``stop``."""
+    i = start - memo.base
+    known = memo[id(arg)][0][i : i + stop - start]
+    return start + (known.index(None) if None in known else len(known))
+
+
+def _span(ctx, arg, pos, n, memo):
+    """The values of ``arg`` at positions pos .. pos+n-1 and their joined
+    exactness.
+
+    Missing values are computed in position order, and a span that leaves
+    the trace canonicalises each position, so a strict-policy
+    HorizonExceedsTrace names the same first position as a position-by-
+    position read.  A span inside the trace is one slice of the column.
+    """
+    stop = pos + n
+    if stop > ctx.trace._length:
+        out = []
+        ex = _EXACT
+        for p in range(pos, stop):
+            v, cex = _eval(ctx, arg, p, memo)
+            out.append(v)
+            ex = _combine(ex, cex)
+        return out, ex
+    for p in range(_first_missing(arg, pos, stop, memo), stop):
+        _eval(ctx, arg, p, memo)
+    values, inexact = memo[id(arg)]
+    i = pos - memo.base
+    out = values[i : i + n]
+    if not inexact:
+        return out, _EXACT
+    tags = set(map(inexact.get, range(pos, stop)))
+    tags.discard(None)
+    return out, functools.reduce(_combine, tags, _EXACT)
 
 
 def _h_atom(ctx, f, pos, memo):
@@ -342,24 +428,14 @@ def _h_next(ctx, f, pos, memo):
 
 def _h_soon(ctx, f, pos, memo):
     eta = ctx.eta
-    tconorm = ctx.ops.tconorm
-    acc = None
-    ex = _EXACT
-    for d in range(1, eta.n_eta + 1):
-        v, cex = _eval(ctx, f.arg, pos + d, memo)
-        term = scale(v, eta.lookup(d - 1))
-        acc = term if acc is None else tconorm(acc, term)
-        ex = _combine(ex, cex)
-    return acc, ex
+    values, ex = _span(ctx, f.arg, pos + 1, eta.n_eta, memo)
+    terms = [scale(v, eta.lookup(d)) for d, v in enumerate(values)]
+    return _fold(ctx.ops.tconorm, terms), ex
 
 
 def _fold_window(ctx, arg, pos, t, memo, op):
-    acc, ex = _eval(ctx, arg, pos, memo)
-    for d in range(1, t + 1):
-        v, cex = _eval(ctx, arg, pos + d, memo)
-        acc = op(acc, v)
-        ex = _combine(ex, cex)
-    return acc, ex
+    values, ex = _span(ctx, arg, pos, t + 1, memo)
+    return _fold(op, values), ex
 
 
 def _f_window(ctx, f, pos, t, memo):
@@ -375,28 +451,17 @@ def _h_within(ctx, f, pos, memo):
     # following n_eta - 1 instants at a decreasing penalty
     t = f.bound
     eta = ctx.eta
-    tconorm = ctx.ops.tconorm
-    acc = None
-    ex = _EXACT
-    for d in range(t + eta.n_eta):
-        v, cex = _eval(ctx, f.arg, pos + d, memo)
-        acc_term = scale(v, eta.lookup(d - t))
-        acc = acc_term if acc is None else tconorm(acc, acc_term)
-        ex = _combine(ex, cex)
-    return acc, ex
+    values, ex = _span(ctx, f.arg, pos, t + eta.n_eta, memo)
+    terms = [scale(v, eta.lookup(d - t)) for d, v in enumerate(values)]
+    return _fold(ctx.ops.tconorm, terms), ex
 
 
 def _h_lasts(ctx, f, pos, memo):
     t = f.bound
     eta = ctx.eta
-    tnorm = ctx.ops.tnorm
     # prefix folds give every G over a shorter window in one pass
-    v, ex = _eval(ctx, f.arg, pos, memo)
-    prefix = [v]
-    for d in range(1, t + 1):
-        w, cex = _eval(ctx, f.arg, pos + d, memo)
-        prefix.append(tnorm(prefix[-1], w))
-        ex = _combine(ex, cex)
+    values, ex = _span(ctx, f.arg, pos, t + 1, memo)
+    prefix = list(accumulate(values, ctx.ops.tnorm))
     best = None
     for j in range(min(t, eta.n_eta - 1) + 1):
         cand = scale(prefix[t - j], eta.lookup(j))
@@ -405,50 +470,50 @@ def _h_lasts(ctx, f, pos, memo):
     return best, ex
 
 
-def _window_values(ctx, arg, pos, t, memo):
-    values = []
-    ex = _EXACT
-    for d in range(t + 1):
-        v, cex = _eval(ctx, arg, pos + d, memo)
-        values.append(v)
-        ex = _combine(ex, cex)
-    return values, ex
-
-
 def _ag_window(ctx, f, pos, t, memo):
-    values, ex = _window_values(ctx, f.arg, pos, t, memo)
+    values, ex = _span(ctx, f.arg, pos, t + 1, memo)
     return _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values), ex
 
 
+def _until_spans(ctx, f, pos, t, memo):
+    """The right child's values at pos..pos+t, the left child's at
+    pos..pos+t-1, and their joined exactness.
+
+    Missing values inside the trace are computed in the order right(pos),
+    left(pos), right(pos+1), ..., so a window whose children fail at
+    different positions raises the error a step-by-step scan meets first.
+    """
+    right, left = f.right, f.left
+    stop = min(pos + t, ctx.trace._length)
+    first = min(_first_missing(right, pos, stop, memo), _first_missing(left, pos, stop, memo))
+    for p in range(first, stop):
+        _eval(ctx, right, p, memo)
+        _eval(ctx, left, p, memo)
+    right_values, rex = _span(ctx, right, pos, t + 1, memo)
+    left_values, lex = _span(ctx, left, pos, t, memo)
+    return left_values, right_values, _combine(rex, lex)
+
+
 def _u_window(ctx, f, pos, t, memo):
-    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
-    best, ex = _eval(ctx, right, pos, memo)
-    prefix = None
-    for k in range(1, t + 1):
-        pv, pex = _eval(ctx, left, pos + k - 1, memo)
-        prefix = pv if prefix is None else tnorm(prefix, pv)
-        rv, rex = _eval(ctx, right, pos + k, memo)
+    left, right, ex = _until_spans(ctx, f, pos, t, memo)
+    best = right[0]
+    for prefix, rv in zip(accumulate(left, tnorm), islice(right, 1, None)):
         cand = tnorm(prefix, rv)
         if cand > best:
             best = cand
-        ex = _combine(ex, _combine(pex, rex))
     return best, ex
 
 
 def _au_window(ctx, f, pos, t, memo):
-    left, right = f.left, f.right
     tnorm = ctx.ops.tnorm
-    best, ex = _eval(ctx, right, pos, memo)
+    left, right, ex = _until_spans(ctx, f, pos, t, memo)
+    best = right[0]
     drops = _DropBuffer(tnorm, ctx.eta)
-    for k in range(1, t + 1):
-        pv, pex = _eval(ctx, left, pos + k - 1, memo)
-        relaxed = drops.push(pv)
-        rv, rex = _eval(ctx, right, pos + k, memo)
+    for relaxed, rv in zip(map(drops.push, left), islice(right, 1, None)):
         cand = tnorm(relaxed, rv)
         if cand > best:
             best = cand
-        ex = _combine(ex, _combine(pex, rex))
     return best, ex
 
 
@@ -473,12 +538,8 @@ def _suffix_values(ctx, arg, pos, memo):
     trace = ctx.trace
     start = trace.resolve(pos)
     ls = trace.loop_start
-    span = trace.loop_length
-    prefix = []
-    for p in range(start, ls):
-        prefix.append(_eval(ctx, arg, p, memo)[0])
-    loop_base = max(start, ls)
-    loop = [_eval(ctx, arg, loop_base + d, memo)[0] for d in range(span)]
+    prefix = _span(ctx, arg, start, max(0, ls - start), memo)[0]
+    loop = _span(ctx, arg, max(start, ls), trace.loop_length, memo)[0]
     return prefix, loop
 
 
@@ -641,7 +702,7 @@ def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
         raise PositionOutOfRange(
             f"position {pos} past the end of a {len(trace)}-state finite trace"
         )
-    value, exactness = _eval(ctx, f, pos, {})
+    value, exactness = _eval(ctx, f, pos, _Columns(trace, pos))
     return EvalResult(value, exactness)
 
 
@@ -659,8 +720,9 @@ def almost_always_fast(
     product; the idempotent interpretations read the product straight off the
     selection.
     """
-    memo: dict = {}
-    values, _ = _window_values(ctx, phi, pos, t, memo)
+    if pos < 0:
+        raise PositionOutOfRange(f"negative position {pos}")
+    values, _ = _span(ctx, phi, pos, t + 1, _Columns(ctx.trace, pos))
     return _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values, counter)
 
 
@@ -671,4 +733,4 @@ def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDeg
     unbounded = _UNBOUNDED.get(type(f))
     if unbounded is None:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    return unbounded[1](ctx, f, pos, {})
+    return unbounded[1](ctx, f, pos, _Columns(ctx.trace, pos))

@@ -336,6 +336,9 @@ class _LoweringState:
 
 
 def _lower_node(f: Formula, strategy, allowed, state: _LoweringState) -> Formula:
+    # a rule cycle that never grows the tree would pass the size check
+    # forever, so the budget also caps the rewrites of one node
+    steps = 0
     while type(f) not in allowed:
         rule = strategy.get(type(f))
         if rule is None:
@@ -349,6 +352,13 @@ def _lower_node(f: Formula, strategy, allowed, state: _LoweringState) -> Formula
         if state.over_budget():
             raise BudgetExceeded(
                 f"lowered form reached {state.total} nodes (budget {state.budget})", partial=f
+            )
+        steps += 1
+        if steps > state.budget:
+            raise BudgetExceeded(
+                f"lowering one node took {steps} rewrite steps without finishing "
+                f"(budget {state.budget})",
+                partial=f,
             )
     kids = children(f)
     if not kids:
@@ -373,9 +383,10 @@ def lower_to_adequate(
 
     ``eta`` shapes the relaxed-operator expansions; it defaults to the crisp
     table (n_eta = 1).  Raises BudgetExceeded once the tree outgrows
-    ``budget`` nodes, and NotLowerable when an operator has no sound removal
-    rule under this interpretation (unbounded almost-always everywhere;
-    unbounded always under Godel).
+    ``budget`` nodes or one node takes more than ``budget`` rewrite steps, and
+    NotLowerable when an operator has no sound removal rule under this
+    interpretation (unbounded almost-always everywhere; unbounded always
+    under Godel).
     """
     if eta is None:
         eta = AvoidingFunction.crisp()

@@ -104,6 +104,14 @@ class TestEval:
         assert main(["eval", "--formula", "p", "--trace", str(bad)]) == 2
         assert "validation error" in capsys.readouterr().err
 
+    def test_deep_next_is_an_evaluation_error(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text('{"atoms":["a"],"states":[[0.5],[1.0]]}')
+        assert main(["eval", "--formula", "X[100000] a", "--trace", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: position 100000")
+        assert "Traceback" not in err
+
     def test_pad_zero_policy(self, table3, capsys):
         rc = main(
             ["eval", "--formula", "X[9] p", "--trace", table3, "--finite-policy", "pad-zero"]

@@ -1,15 +1,23 @@
+import functools
 import random
+import tracemalloc
 
 import pytest
 
+from fuzzytl import algebra
 from fuzzytl.core import (
     AlmostAlways,
+    AlmostAlwaysB,
     AlmostUntil,
+    AlwaysB,
+    And,
     Atom,
     AvoidingFunction,
     Eventually,
+    EventuallyB,
     Interpretation,
     Next,
+    Not,
     Scale,
     Top,
     Trace,
@@ -30,7 +38,7 @@ from fuzzytl.evaluator import (
     eval_unbounded_lasso,
     evaluate,
 )
-from fuzzytl.oracle import oracle_almost_until
+from fuzzytl.oracle import oracle_almost_always, oracle_almost_until
 from fuzzytl.parser import parse
 
 Z = Interpretation.ZADEH
@@ -133,6 +141,13 @@ class TestFinitePolicies:
         with pytest.raises(HorizonExceedsTrace):
             evaluate(ctx_for(trace), parse("f AU[5] s"))
 
+    @pytest.mark.parametrize("op", ["U", "AU"])
+    def test_until_reports_the_first_step_that_leaves(self, op):
+        # the steps read right(0), left(0), right(1), ...: left(0) already
+        # reads position 7, before the right child reaches position 4
+        with pytest.raises(HorizonExceedsTrace, match="position 7 "):
+            evaluate(ctx_for(WORKED), parse(f"(X[7] p) {op}[6] p"))
+
     def test_pad_zero_treats_missing_states_as_zero(self):
         ctx = ctx_for(WORKED, policy=FinitePolicy.PAD_ZERO)
         assert evaluate(ctx, parse("X p"), 3).value == 0.0
@@ -148,6 +163,124 @@ class TestFinitePolicies:
     def test_unknown_atom_surfaces(self):
         with pytest.raises(UnknownAtom):
             evaluate(ctx_for(WORKED), parse("nope"))
+
+
+class TestDeepNext:
+    """X[100000] unwraps without recursion and without hashing the chain."""
+
+    DEEP = parse("X[100000] p")
+
+    def test_strict_policy_leaves_the_trace(self):
+        with pytest.raises(HorizonExceedsTrace, match="position 100000"):
+            evaluate(ctx_for(WORKED), self.DEEP)
+
+    def test_pad_zero_reads_the_padded_tail(self):
+        result = evaluate(ctx_for(WORKED, policy=FinitePolicy.PAD_ZERO), self.DEEP)
+        assert (result.value, result.exactness) == (0.0, Exactness.EXACT)
+
+    def test_lasso_wraps(self):
+        lasso = Trace(("p",), ((0.9,), (0.5,), (0.7,), (0.2,)), loop_start=1)
+        result = evaluate(ctx_for(lasso), self.DEEP)
+        assert result.value == lasso.at(lasso.resolve(100000), "p")
+        assert result.exactness is Exactness.EXACT
+
+
+class TestSharedSubformulas:
+    """A node shared by two windows is computed once; the second window
+    reads its column and must join the same exactness tags."""
+
+    TRACE = Trace(("p",), ((0.2,), (0.7,), (0.3,), (0.5,)))
+
+    def test_cached_span_keeps_its_bound_direction(self):
+        ctx = ctx_for(self.TRACE)
+        fp = Eventually(Atom("p"))  # LowerBound at every position of a finite trace
+        g, f = AlwaysB(1, fp), EventuallyB(1, fp)
+        alone = [evaluate(ctx, w) for w in (g, f)]
+        assert [r.exactness for r in alone] == [Exactness.LOWER_BOUND] * 2
+        both = evaluate(ctx, And(g, f))
+        assert both.exactness is Exactness.LOWER_BOUND
+        assert both.value == min(r.value for r in alone)
+
+    def test_negated_cached_span_flips_direction(self):
+        ctx = ctx_for(self.TRACE)
+        fp = Eventually(Atom("p"))
+        assert evaluate(ctx, AlwaysB(1, Not(fp))).exactness is Exactness.UPPER_BOUND
+        mixed = evaluate(ctx, And(AlwaysB(1, Not(fp)), EventuallyB(1, fp)))
+        assert mixed.exactness is Exactness.APPROXIMATE
+
+
+def test_point_evaluation_allocates_only_what_it_reads():
+    # columns grow from the evaluated position only as far as the evaluation
+    # reads, so one position of a wide formula on a long trace stays small
+    trace = Trace(("a",), ((0.5,),) * 20_000)
+    f = parse(" && ".join(["a"] * 300))
+    tracemalloc.start()
+    try:
+        for pos in (0, 19_999):
+            assert evaluate(ctx_for(trace), f, pos).value == 0.5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def _off_grid_column(seed, n):
+    """Seeded off-grid degrees with repeated values, 0.0 and -0.0."""
+    rng = random.Random(seed)
+    values = [rng.random() for _ in range(n)]
+    for i in rng.sample(range(n), n // 4):
+        values[i] = values[rng.randrange(n)]  # ties
+    values[rng.randrange(n)] = -0.0
+    values[rng.randrange(n)] = 0.0
+    return values
+
+
+class TestWindowFoldsAreBitIdentical:
+    """Window folds must give the bits of a fold in position order."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_always_is_the_positional_product(self, seed):
+        values = _off_grid_column(seed, 40)
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in values)), P)
+        for pos in range(0, 30, 3):
+            for t in (0, 1, 9):
+                want = functools.reduce(lambda a, b: a * b, values[pos : pos + t + 1])
+                got = evaluate(ctx, AlwaysB(t, Atom("p")), pos).value
+                assert got == want and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("interp", [Z, G])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_idempotent_windows_keep_the_first_of_equal_values(self, interp, seed):
+        values = _off_grid_column(seed, 40)
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in values)), interp)
+        for pos in range(0, 30, 3):
+            window = values[pos : pos + 11]
+            got_f = evaluate(ctx, EventuallyB(10, Atom("p")), pos).value
+            got_g = evaluate(ctx, AlwaysB(10, Atom("p")), pos).value
+            # hex tells -0.0 from 0.0, which == does not
+            assert got_f.hex() == functools.reduce(algebra._maximum, window).hex()
+            assert got_g.hex() == functools.reduce(algebra._minimum, window).hex()
+
+    @pytest.mark.parametrize("interp", [Z, G])
+    def test_signed_zeros_keep_the_first(self, interp):
+        zeros = (0.0, -0.0, -0.0, 0.0)
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in zeros)), interp)
+        for pos in range(3):
+            window = zeros[pos : pos + 2]
+            got_f = evaluate(ctx, EventuallyB(1, Atom("p")), pos).value
+            got_g = evaluate(ctx, AlwaysB(1, Atom("p")), pos).value
+            assert got_f.hex() == functools.reduce(algebra._maximum, window).hex()
+            assert got_g.hex() == functools.reduce(algebra._minimum, window).hex()
+
+    @pytest.mark.parametrize("interp", [L, P])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_archimedean_almost_always_matches_enumeration(self, interp, seed):
+        values = _off_grid_column(seed, 12)
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in values)), interp)
+        for t in (0, 3, 6):
+            for pos in range(len(values) - t):
+                got = evaluate(ctx, AlmostAlwaysB(t, Atom("p")), pos).value
+                assert got == oracle_almost_always(ctx, Atom("p"), pos, t)
 
 
 class TestUnboundedOnFiniteTraces:
@@ -243,6 +376,10 @@ class TestAlmostAlwaysFast:
         ctx = ctx_for(WORKED, policy=FinitePolicy.PAD_ZERO)
         fast = almost_always_fast(ctx, Next(Atom("p")), 0, 2)
         assert fast == evaluate(ctx, parse("AG[2] X p")).value
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(PositionOutOfRange):
+            almost_always_fast(ctx_for(WORKED), Atom("p"), -1, 2)
 
 
 def test_within_equals_eventually_when_crisp_table():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,10 +14,12 @@ from fuzzytl.core import (
     Top,
     Trace,
     Until,
+    WeakOr,
     node_count,
 )
 from fuzzytl.errors import BudgetExceeded, NotLowerable
 from fuzzytl.evaluator import EvalContext, FinitePolicy, evaluate
+from fuzzytl import rewrite
 from fuzzytl.parser import format_formula, parse
 from fuzzytl.rewrite import (
     in_adequate_set,
@@ -149,6 +152,18 @@ class TestLowering:
         # the duality needs an involutive negation and until cannot express it
         with pytest.raises(NotLowerable):
             lower_to_adequate(Always(Atom("p")), G, eta=ETA_3)
+
+    def test_size_neutral_rule_cycle_ends(self, monkeypatch):
+        # with or-as-lattice matching WeakOr, p || q rewrites to itself forever
+        # without growing; the budget must cap the steps, not only the size
+        def cyclic_rules(eta):
+            rules = rule_set(eta)
+            rules["or-as-lattice"] = dataclasses.replace(rules["or-as-lattice"], pattern=WeakOr)
+            return rules
+
+        monkeypatch.setattr(rewrite, "rule_set", cyclic_rules)
+        with pytest.raises(BudgetExceeded, match="100001 rewrite steps"):
+            lower_to_adequate(parse("p || q"), Z, eta=ETA_3)
 
     def test_budget_carries_partial_form(self):
         with pytest.raises(BudgetExceeded) as err:

@@ -49,7 +49,25 @@ class Interpretation(Enum):
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class of the abstract syntax tree; all nodes are frozen."""
+    """Base class of the abstract syntax tree; all nodes are frozen.
+
+    ``size`` is the node count of the expanded tree, a shared subtree counted
+    at every use.  It is set once from the children's sizes, so it costs O(1)
+    per node however deep or shared the formula is, and it takes no part in
+    ``==``, ``hash`` or ``repr``.
+    """
+
+    size: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        spec = OPERATORS[type(self)]
+        if spec.param is not None:
+            _check_bound(getattr(self, spec.param))
+        size = 1
+        for name in spec.children:
+            size += getattr(self, name).size
+        # frozen, so write the instance dict directly; the field is never rebound
+        self.__dict__["size"] = size
 
 
 @dataclass(frozen=True)
@@ -133,9 +151,6 @@ class EventuallyB(Formula):
     bound: int
     arg: Formula
 
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
-
 
 @dataclass(frozen=True)
 class Always(Formula):
@@ -146,9 +161,6 @@ class Always(Formula):
 class AlwaysB(Formula):
     bound: int
     arg: Formula
-
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
 
 
 @dataclass(frozen=True)
@@ -161,9 +173,6 @@ class AlmostAlwaysB(Formula):
     bound: int
     arg: Formula
 
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
-
 
 @dataclass(frozen=True)
 class Lasts(Formula):
@@ -172,9 +181,6 @@ class Lasts(Formula):
     bound: int
     arg: Formula
 
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
-
 
 @dataclass(frozen=True)
 class Within(Formula):
@@ -182,9 +188,6 @@ class Within(Formula):
 
     bound: int
     arg: Formula
-
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
 
 
 @dataclass(frozen=True)
@@ -199,9 +202,6 @@ class UntilB(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
-
 
 @dataclass(frozen=True)
 class AlmostUntil(Formula):
@@ -215,9 +215,6 @@ class AlmostUntilB(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _check_bound(self.bound)
-
 
 @dataclass(frozen=True)
 class Scale(Formula):
@@ -225,9 +222,6 @@ class Scale(Formula):
 
     index: int
     arg: Formula
-
-    def __post_init__(self) -> None:
-        _check_bound(self.index)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,8 @@ class OpSpec:
     get_children: Callable[[Formula], tuple[Formula, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        typed = [(f.name, f.type) for f in fields(self.cls)]
+        # ``size`` is not an init field, so it is neither a child nor the param
+        typed = [(f.name, f.type) for f in fields(self.cls) if f.init]
         names = tuple(n for n, t in typed if t == "Formula")
         object.__setattr__(self, "children", names)
         object.__setattr__(self, "param", next((n for n, t in typed if t == "int"), None))
@@ -336,14 +331,8 @@ def with_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
 
 
 def node_count(f: Formula) -> int:
-    """Number of nodes in the tree (iterative; rewriting can build deep trees)."""
-    count = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(children(node))
-    return count
+    """Number of nodes in the expanded tree, a shared subtree counted at every use."""
+    return f.size
 
 
 # ---------------------------------------------------------------------------

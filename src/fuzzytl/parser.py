@@ -215,48 +215,64 @@ def _head(spec: OpSpec, f: Formula) -> str:
     return f"{spec.keyword}[{getattr(f, spec.param)}]"
 
 
-def _join_unary(head: str, child: str) -> str:
-    if child[0] in "(!" or not head[0].isalpha():
-        return head + child
-    return head + " " + child
-
-
-def _render(f: Formula) -> tuple[str, int]:
-    spec = OPERATORS.get(type(f))
-    if spec is None:
-        raise TypeError(f"unknown formula node {f!r}")
-    level = spec.level
-    if level == Level.LEAF:
-        return (_atom_text(f.name) if spec.cls is Atom else spec.keyword), level
-    if level == Level.UNARY:
-        if spec.bound == Bound.REPEAT:
-            k = 0
-            inner = f
-            while type(inner) is spec.cls:
-                k += 1
-                (inner,) = children(inner)
-            head = spec.keyword if k == 1 else f"{spec.keyword}[{k}]"
-        else:
-            head = _head(spec, f)
-            (inner,) = children(f)
-        return _join_unary(head, _fmt(inner, level)), level
-    left, right = children(f)
-    if level == Level.IMPLIES:  # right-associative
-        return f"{_fmt(left, level + 1)} {_head(spec, f)} {_fmt(right, level)}", level
-    return f"{_fmt(left, level)} {_head(spec, f)} {_fmt(right, level + 1)}", level
-
-
-def _fmt(f: Formula, min_level: int) -> str:
-    text, level = _render(f)
-    if level < min_level:
-        return "(" + text + ")"
-    return text
-
-
 def format_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; parse(format_formula(f)) == f.
 
     Raises ValidationError for an atom whose name is not an identifier or is
     a keyword, since no text would parse back to it.
     """
-    return _fmt(f, Level.IMPLIES)
+    # pieces are emitted left to right from an explicit stack, so depth costs
+    # no Python frames and no copies of partial texts.  The loop descends the
+    # left spine at once; the stack holds what comes after it: right operands
+    # with their minimum levels, and strs to emit as they are.
+    out: list[str] = []
+    todo: list = [(f, Level.IMPLIES)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        while True:
+            spec = OPERATORS.get(type(node))
+            if spec is None:
+                raise TypeError(f"unknown formula node {node!r}")
+            level = spec.level
+            if level < min_level:
+                out.append("(")
+                todo.append(")")
+            if level == Level.LEAF:
+                out.append(_atom_text(node.name) if spec.cls is Atom else spec.keyword)
+                break
+            if level == Level.UNARY:
+                if spec.bound == Bound.REPEAT:
+                    k = 0
+                    inner = node
+                    while type(inner) is spec.cls:
+                        k += 1
+                        (inner,) = children(inner)
+                    head = spec.keyword if k == 1 else f"{spec.keyword}[{k}]"
+                else:
+                    head = _head(spec, node)
+                    (inner,) = children(node)
+                # a keyword head needs a space unless the child's text starts
+                # with "(" or "!"
+                kid = OPERATORS.get(type(inner))
+                if head[0].isalpha() and kid is not None and (
+                    kid.level > Level.UNARY or (kid.level == Level.UNARY and kid.keyword != "!")
+                ):
+                    head += " "
+                out.append(head)
+                node, min_level = inner, level
+                continue
+            left, right = children(node)
+            # implication is right-associative, the other levels left
+            if level == Level.IMPLIES:
+                todo.append((right, level))
+                min_level = level + 1
+            else:
+                todo.append((right, level + 1))
+                min_level = level
+            todo.append(f" {_head(spec, node)} ")
+            node = left
+    return "".join(out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from operator import is_
 from typing import Callable, Optional
 
 from .core import (
@@ -209,51 +210,71 @@ def _make_lasts_expand(eta: AvoidingFunction, disj):
 def _make_ag_expand(eta: AvoidingFunction, disj):
     def transform(f):
         t = f.bound
+        shifted = [f.arg]  # shifted[h] is X^h arg, built on shifted[h - 1]
+        for _ in range(t):
+            shifted.append(Next(shifted[-1]))
+        # (id of a conjunction, h) -> that conjunction & X^h arg: the terms
+        # share every common prefix of their left-nested conjunctions
+        prefixes: dict[tuple[int, int], Formula] = {}
         terms: list[Formula] = []
         for j in range(min(t, eta.n_eta - 1) + 1):
             for kept in itertools.combinations(range(t + 1), t + 1 - j):
-                body = reduce(And, [_nexts(h, f.arg) for h in kept])
+                body = shifted[kept[0]]
+                for h in kept[1:]:
+                    key = (id(body), h)
+                    conj = prefixes.get(key)
+                    if conj is None:
+                        conj = prefixes[key] = And(body, shifted[h])
+                    body = conj
                 terms.append(body if j == 0 else Scale(j, body))
         return reduce(disj, terms)
 
     return transform
 
 
+_ALL_FOUR = frozenset({_Z, _G, _L, _P})
+_ZL, _ZG, _LP = frozenset({_Z, _L}), frozenset({_Z, _G}), frozenset({_L, _P})
+_GLP = frozenset({_G, _L, _P})
+
+#: The rules that do not depend on eta, built once.
+_FIXED_RULES = (
+    RewriteRule("FG-dual", Always, _ZL, _t_fg_dual),
+    RewriteRule("F-from-until", Eventually, _ZG, _t_f_from_until),
+    RewriteRule("GF-dual", Eventually, _ZL, _t_gf_dual),
+    RewriteRule("demorgan-or", Or, _ZL, _t_demorgan_or),
+    RewriteRule("demorgan-and", And, _ZL, _t_demorgan_and),
+    RewriteRule("implies-material", Implies, _ZL, _t_implies_material),
+    RewriteRule("not-via-implies", Not, _ALL_FOUR, _t_not_via_implies),
+    RewriteRule("or-as-lattice", Or, _ZG, _t_or_as_lattice),
+    RewriteRule("weak-and-define", WeakAnd, _GLP, _t_weak_and_define),
+    RewriteRule("weak-and-collapse", WeakAnd, _ZG, _t_weak_and_collapse),
+    RewriteRule("weak-or-define", WeakOr, _GLP, _t_weak_or_define),
+    RewriteRule("weak-or-collapse", WeakOr, _ZG, _t_weak_or_collapse),
+    RewriteRule("F-unfold", EventuallyB, _ALL_FOUR, _t_f_unfold),
+    RewriteRule("G-unfold", AlwaysB, _ALL_FOUR, _t_g_unfold),
+    RewriteRule("U-unfold", UntilB, _ZG, _make_u_unfold(Or)),
+    RewriteRule("U-unfold-w", UntilB, _LP, _make_u_unfold(WeakOr)),
+    RewriteRule("AU-unfold", AlmostUntilB, _ZG, _make_au_unfold(Or)),
+    RewriteRule("AU-unfold-w", AlmostUntilB, _LP, _make_au_unfold(WeakOr)),
+    RewriteRule("scale-to-and", Scale, frozenset({_P}), _t_scale_to_and),
+)
+
+
 def rule_set(eta: AvoidingFunction) -> dict[str, RewriteRule]:
     """Every shipped rule, with the relaxed-operator expansions bound to eta.
 
     List order is preference: lowering removes a node kind with the first
-    rule for its class that is sound under the interpretation.
+    rule for its class that is sound under the interpretation.  The dict is
+    fresh on every call; only the eta-bound rules are built per call.
     """
-    all_four = frozenset({_Z, _G, _L, _P})
-    zl, zg, lp = frozenset({_Z, _L}), frozenset({_Z, _G}), frozenset({_L, _P})
-    glp = frozenset({_G, _L, _P})
     rules = [
-        RewriteRule("FG-dual", Always, zl, _t_fg_dual),
-        RewriteRule("F-from-until", Eventually, zg, _t_f_from_until),
-        RewriteRule("GF-dual", Eventually, zl, _t_gf_dual),
-        RewriteRule("demorgan-or", Or, zl, _t_demorgan_or),
-        RewriteRule("demorgan-and", And, zl, _t_demorgan_and),
-        RewriteRule("implies-material", Implies, zl, _t_implies_material),
-        RewriteRule("not-via-implies", Not, all_four, _t_not_via_implies),
-        RewriteRule("or-as-lattice", Or, zg, _t_or_as_lattice),
-        RewriteRule("weak-and-define", WeakAnd, glp, _t_weak_and_define),
-        RewriteRule("weak-and-collapse", WeakAnd, zg, _t_weak_and_collapse),
-        RewriteRule("weak-or-define", WeakOr, glp, _t_weak_or_define),
-        RewriteRule("weak-or-collapse", WeakOr, zg, _t_weak_or_collapse),
-        RewriteRule("F-unfold", EventuallyB, all_four, _t_f_unfold),
-        RewriteRule("G-unfold", AlwaysB, all_four, _t_g_unfold),
-        RewriteRule("U-unfold", UntilB, zg, _make_u_unfold(Or)),
-        RewriteRule("U-unfold-w", UntilB, lp, _make_u_unfold(WeakOr)),
-        RewriteRule("AU-unfold", AlmostUntilB, zg, _make_au_unfold(Or)),
-        RewriteRule("AU-unfold-w", AlmostUntilB, lp, _make_au_unfold(WeakOr)),
-        RewriteRule("scale-to-and", Scale, frozenset({_P}), _t_scale_to_and),
-        RewriteRule("soon-expand", Soon, all_four, _make_soon_expand(eta)),
-        RewriteRule("within-expand", Within, all_four, _make_within_expand(eta)),
-        RewriteRule("lasts-expand", Lasts, zg, _make_lasts_expand(eta, Or)),
-        RewriteRule("lasts-expand-w", Lasts, lp, _make_lasts_expand(eta, WeakOr)),
-        RewriteRule("ag-expand", AlmostAlwaysB, zg, _make_ag_expand(eta, Or)),
-        RewriteRule("ag-expand-w", AlmostAlwaysB, lp, _make_ag_expand(eta, WeakOr)),
+        *_FIXED_RULES,
+        RewriteRule("soon-expand", Soon, _ALL_FOUR, _make_soon_expand(eta)),
+        RewriteRule("within-expand", Within, _ALL_FOUR, _make_within_expand(eta)),
+        RewriteRule("lasts-expand", Lasts, _ZG, _make_lasts_expand(eta, Or)),
+        RewriteRule("lasts-expand-w", Lasts, _LP, _make_lasts_expand(eta, WeakOr)),
+        RewriteRule("ag-expand", AlmostAlwaysB, _ZG, _make_ag_expand(eta, Or)),
+        RewriteRule("ag-expand-w", AlmostAlwaysB, _LP, _make_ag_expand(eta, WeakOr)),
     ]
     return {rule.name: rule for rule in rules}
 
@@ -296,81 +317,35 @@ def adequate_connectives(interp: Interpretation) -> frozenset:
 
 
 def in_adequate_set(f: Formula, interp: Interpretation) -> bool:
+    """Whether every node kind in f is adequate.  Lowered forms share
+    subtrees, so each distinct node object is visited once."""
     allowed = adequate_connectives(interp)
+    seen: set[int] = set()
     stack = [f]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if type(node) not in allowed:
             return False
         stack.extend(children(node))
     return True
 
 
-class _LoweringState:
-    """Tracks the expanded tree size across a lowering run.
+class _Frame:
+    """A node of the walk whose own rewrites are done and whose children are
+    being lowered, left to right."""
 
-    Rewrites share subtrees, so sizes are memoized per object; the cache
-    holds a reference to each node to keep ids stable.
-    """
+    __slots__ = ("node", "form", "kids", "lowered", "start", "peak")
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.total = 0
-        self._sizes: dict[int, tuple[Formula, int]] = {}
-
-    def size(self, f: Formula) -> int:
-        hit = self._sizes.get(id(f))
-        if hit is not None:
-            return hit[1]
-        total = 1
-        for kid in children(f):
-            total += self.size(kid)
-        self._sizes[id(f)] = (f, total)
-        return total
-
-    def charge(self, old: Formula, new: Formula) -> None:
-        self.total += self.size(new) - self.size(old)
-
-    def over_budget(self) -> bool:
-        return self.total > self.budget
-
-
-def _lower_node(f: Formula, strategy, allowed, state: _LoweringState) -> Formula:
-    # a rule cycle that never grows the tree would pass the size check
-    # forever, so the budget also caps the rewrites of one node
-    steps = 0
-    while type(f) not in allowed:
-        rule = strategy.get(type(f))
-        if rule is None:
-            raise NotLowerable(
-                f"no sound rule removes {type(f).__name__} under this interpretation",
-                partial=f,
-            )
-        new = rule.transform(f)
-        state.charge(f, new)
-        f = new
-        if state.over_budget():
-            raise BudgetExceeded(
-                f"lowered form reached {state.total} nodes (budget {state.budget})", partial=f
-            )
-        steps += 1
-        if steps > state.budget:
-            raise BudgetExceeded(
-                f"lowering one node took {steps} rewrite steps without finishing "
-                f"(budget {state.budget})",
-                partial=f,
-            )
-    kids = children(f)
-    if not kids:
-        return f
-    lowered: list[Formula] = []
-    for i, kid in enumerate(kids):
-        try:
-            lowered.append(_lower_node(kid, strategy, allowed, state))
-        except (BudgetExceeded, NotLowerable) as exc:
-            exc.partial = with_children(f, (*lowered, exc.partial, *kids[i + 1:]))
-            raise
-    return with_children(f, tuple(lowered))
+    def __init__(self, node: Formula, form: Formula, kids: tuple, start: int, peak: int):
+        self.node = node  # the node as visited, the memo key
+        self.form = form  # node after its own rewrites
+        self.kids = kids  # form's children
+        self.lowered: list[Formula] = []
+        self.start = start  # the running total when node was visited
+        self.peak = peak  # highest total - start at any budget check so far
 
 
 def lower_to_adequate(
@@ -380,6 +355,11 @@ def lower_to_adequate(
     eta: Optional[AvoidingFunction] = None,
 ) -> Formula:
     """Rewrite until only the interpretation's adequate connectives remain.
+
+    One post-order walk with an explicit stack, so depth costs no Python
+    frames.  Each node object is lowered once per call and its lowered form
+    shared at every later use, so the result is a DAG; the budget still counts
+    the expanded tree, a shared subtree at every use.
 
     ``eta`` shapes the relaxed-operator expansions; it defaults to the crisp
     table (n_eta = 1).  Raises BudgetExceeded once the tree outgrows
@@ -396,10 +376,86 @@ def lower_to_adequate(
     for rule in rule_set(eta).values():
         if interp in rule.applicable_interps:
             strategy.setdefault(rule.pattern, rule)
-    state = _LoweringState(budget)
-    state.total = state.size(f)
-    if state.over_budget():
-        raise BudgetExceeded(
-            f"input already has {state.total} nodes (budget {budget})", partial=f
-        )
-    return _lower_node(f, strategy, allowed, state)
+    total = f.size
+    if total > budget:
+        raise BudgetExceeded(f"input already has {total} nodes (budget {budget})", partial=f)
+    # id(node) -> (node, lowered form, total change, peak change).  A repeat
+    # visit replays the entry only when the peak fits: lowering it step by
+    # step would then pass every budget check it passed the first time, so
+    # the outcome is the same.  Otherwise the walk lowers it again and raises
+    # where the node-by-node walk would.  The entry holds the node, so its
+    # id stays unique for the call.
+    memo: dict[int, tuple[Formula, Formula, int, int]] = {}
+    stack: list[_Frame] = []
+    node = f
+    try:
+        while True:
+            # visit node: replay it, or rewrite it until its kind is allowed
+            hit = memo.get(id(node))
+            if hit is not None and total + hit[3] <= budget:
+                start, peak = total, hit[3]
+                total += hit[2]
+                done = hit[1]
+            else:
+                start, peak, form, steps = total, 0, node, 0
+                while type(form) not in allowed:
+                    rule = strategy.get(type(form))
+                    if rule is None:
+                        raise NotLowerable(
+                            f"no sound rule removes {type(form).__name__} under this interpretation",
+                            partial=form,
+                        )
+                    new = rule.transform(form)
+                    total += new.size - form.size
+                    form = new
+                    if total > budget:
+                        raise BudgetExceeded(
+                            f"lowered form reached {total} nodes (budget {budget})", partial=form
+                        )
+                    if total - start > peak:
+                        peak = total - start
+                    # a rule cycle that never grows the tree would pass the
+                    # size check forever, so the budget also caps the steps
+                    steps += 1
+                    if steps > budget:
+                        raise BudgetExceeded(
+                            f"lowering one node took {steps} rewrite steps without finishing "
+                            f"(budget {budget})",
+                            partial=form,
+                        )
+                kids = children(form)
+                if kids:
+                    stack.append(_Frame(node, form, kids, start, peak))
+                    node = kids[0]
+                    continue
+                done = form
+                memo[id(node)] = (node, done, total - start, peak)
+            # done is node's lowered form: hand it up, finishing every parent
+            # whose last child it completes
+            while stack:
+                parent = stack[-1]
+                if start - parent.start + peak > parent.peak:
+                    parent.peak = start - parent.start + peak
+                parent.lowered.append(done)
+                if len(parent.lowered) < len(parent.kids):
+                    node = parent.kids[len(parent.lowered)]
+                    break
+                stack.pop()
+                lowered = tuple(parent.lowered)
+                # a node whose children all came back as they were is kept
+                if all(map(is_, lowered, parent.kids)):
+                    done = parent.form
+                else:
+                    done = with_children(parent.form, lowered)
+                start, peak = parent.start, parent.peak
+                memo[id(parent.node)] = (parent.node, done, total - start, peak)
+            else:
+                return done
+    except (BudgetExceeded, NotLowerable) as exc:
+        # rebuild the partial form around the failing node, innermost first
+        partial = exc.partial
+        for frame in reversed(stack):
+            i = len(frame.lowered)
+            partial = with_children(frame.form, (*frame.lowered, partial, *frame.kids[i + 1:]))
+        exc.partial = partial
+        raise

@@ -170,6 +170,20 @@ class TestRewrite:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "interp, code", [("zadeh", 0), ("godel", 4), ("lukasiewicz", 0), ("product", 0)]
+    )
+    def test_deep_lowering_exit_codes(self, interp, code, capsys):
+        # 300 unfoldings nest far past Python's frame limit in the lowered text
+        rc = main(["rewrite", "--formula", "F[300] a", "--interp", interp, "--target", "adequate"])
+        assert rc == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.count("X") == 300 and err == ""
+        else:
+            assert out == "" and err.startswith("budget exceeded; partial form: ")
+            assert "Traceback" not in err
+
     def test_verify_prints_difference(self, table3, capsys):
         rc = main(
             [

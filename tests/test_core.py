@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,9 +10,12 @@ from fuzzytl.core import (
     And,
     Atom,
     AvoidingFunction,
+    Bot,
     EventuallyB,
+    Formula,
     Next,
     Scale,
+    Top,
     Trace,
     UntilB,
     children,
@@ -19,6 +23,7 @@ from fuzzytl.core import (
     node_count,
     with_children,
 )
+from fuzzytl.checks import random_formula
 from fuzzytl.errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
 from fuzzytl.evaluator import _HANDLERS
 
@@ -175,6 +180,43 @@ class TestFormulaNodes:
     def test_node_count(self):
         assert node_count(Atom("p")) == 1
         assert node_count(And(Atom("p"), Next(Atom("q")))) == 4
+
+    def test_size_is_the_walked_node_count(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = random_formula(rng, depth=rng.randint(0, 6), max_bound=5, n_eta=3)
+            walked, stack = 0, [f]
+            while stack:
+                node = stack.pop()
+                walked += 1
+                stack.extend(children(node))
+            assert f.size == node_count(f) == walked
+
+    def test_size_counts_a_shared_subtree_at_every_use(self):
+        f = Atom("p")
+        for _ in range(100):
+            f = And(f, f)
+        assert f.size == 2**101 - 1
+
+    def test_size_leaves_eq_hash_and_repr_alone(self):
+        (size,) = [f for f in dataclasses.fields(Formula)]
+        assert (size.name, size.init, size.compare, size.repr) == ("size", False, False, False)
+        p = Atom("p")
+        assert hash(p) == hash(("p",))
+        assert hash(Next(p)) == hash((p,))
+        assert hash(EventuallyB(2, p)) == hash((2, p))
+        assert repr(UntilB(2, p, Next(p))) == (
+            "UntilB(bound=2, left=Atom(name='p'), right=Next(arg=Atom(name='p')))"
+        )
+        assert EventuallyB(2, p) == EventuallyB(2, Atom("p")) != EventuallyB(2, Top())
+
+    def test_operator_rows_ignore_the_size_field(self):
+        for cls in (Top, Bot, Atom):
+            assert OPERATORS[cls].param is None
+            assert OPERATORS[cls].children == ()
+        assert OPERATORS[Scale].param == "index"
+        assert OPERATORS[UntilB].param == "bound"
+        assert OPERATORS[UntilB].children == ("left", "right")
 
 
 def test_operator_table_has_one_row_and_one_handler_per_node_class():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -139,6 +140,27 @@ def test_round_trip_is_stable():
         f = random_formula(rng, depth=5, n_eta=3)
         once = format_formula(f)
         assert format_formula(parse(once)) == once
+
+
+def test_format_text_is_unchanged_by_the_iterative_walk():
+    # digest of the recursive formatter's text on the same seeded set
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for _ in range(500):
+        f = random_formula(rng, atoms=("p", "q", "r_2"), depth=rng.randint(0, 7), max_bound=12, n_eta=4)
+        h.update(format_formula(f).encode() + b"\n")
+    assert h.hexdigest() == "5e382d271f5494e9e175810b51a913535eec7a3ec544d2acb8e5009c8ff465d1"
+
+
+def test_format_deep_formulas_without_recursion():
+    f = Atom("p")
+    for _ in range(5000):
+        f = Not(f)
+    assert format_formula(f) == "!" * 5000 + "p"
+    g = Atom("p")
+    for _ in range(3000):
+        g = And(Atom("q"), g)
+    assert format_formula(g) == "q & (" * 2999 + "q & p" + ")" * 2999
 
 
 @pytest.mark.parametrize("name", ["true", "U", "p q"])

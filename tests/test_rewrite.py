@@ -1,20 +1,29 @@
 import dataclasses
+import hashlib
+import itertools
 import random
+from functools import reduce
 
 import pytest
 
-from fuzzytl.checks import random_eta, random_trace
+from fuzzytl.checks import random_eta, random_formula, random_trace
 from fuzzytl.core import (
+    OPERATORS,
     AlmostAlways,
     Always,
+    And,
     Atom,
     AvoidingFunction,
     Interpretation,
+    Next,
     Not,
+    Or,
+    Scale,
     Top,
     Trace,
     Until,
     WeakOr,
+    children,
     node_count,
 )
 from fuzzytl.errors import BudgetExceeded, NotLowerable
@@ -185,3 +194,137 @@ class TestDualityScope:
         plain = evaluate(ctx, parse("G p")).value
         assert dual != plain
         assert (dual, plain) == (1.0, 0.5)
+
+
+def _prefix(f):
+    """Prefix text of the expanded tree, walked without recursion."""
+    out, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        spec = OPERATORS[type(node)]
+        out.append(node.name if type(node) is Atom else type(node).__name__)
+        if spec.param is not None:
+            out.append(str(getattr(node, spec.param)))
+        stack.extend(reversed(children(node)))
+    return " ".join(out)
+
+
+def _outcome(f, interp, budget):
+    try:
+        return "ok " + _prefix(lower_to_adequate(f, interp, budget, ETA_3))
+    except (BudgetExceeded, NotLowerable) as exc:
+        return f"{type(exc).__name__} {exc} | {_prefix(exc.partial)}"
+
+
+def _distinct_nodes(f):
+    seen, stack = {}, [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(children(node))
+    return len(seen)
+
+
+class TestSharedLowering:
+    """Lowering each shared node object once must not change any outcome."""
+
+    def test_outcomes_match_the_node_by_node_walk(self):
+        # digest of the same set under a walk that lowered every use of a
+        # shared subtree again: results, messages and partial forms
+        rng = random.Random(20240)
+        h = hashlib.sha256()
+        for _ in range(400):
+            f = random_formula(rng, depth=3, max_bound=3, n_eta=ETA_3.n_eta)
+            for interp in (Z, G, L, P):
+                for budget in (60, 2000):
+                    h.update(_outcome(f, interp, budget).encode() + b"\n")
+        assert h.hexdigest() == "6bad61d398d1f2226ed8493f09ee757d2845ee3a2255b71f6550ec4171236724"
+
+    def test_replay_refused_when_the_peak_crosses_the_budget(self):
+        # a repeat of a lowered subtree would fit by its net growth, but its
+        # lowering passes through a larger tree on the way, which the budget
+        # catches; replaying by net growth alone would report 90 nodes
+        with pytest.raises(BudgetExceeded) as err:
+            lower_to_adequate(parse("F[2] p"), G, budget=87)
+        assert str(err.value) == "lowered form reached 92 nodes (budget 87)"
+        assert format_formula(err.value.partial) == (
+            "((p -> X(((p -> X p) -> X p) & (((p -> X p) -> X p) -> (X p -> p) -> p))) "
+            "-> X(((p -> X p) -> X p) & (((p -> X p) -> X p) -> (X p -> p) -> p))) "
+            "& (((p -> X(((p -> X F[0] p) -> X F[0] p) & (((p -> X F[0] p) -> X F[0] p) "
+            "-> (X F[0] p -> p) -> p))) -> X F[1] p) -> (X F[1] p -> p) -> p)"
+        )
+        assert err.value.partial.size == 92
+
+    @pytest.mark.parametrize(
+        "text, interp, nodes",
+        [
+            ("F[300] a", Z, 1801),
+            ("F[300] a", G, None),
+            ("F[300] a", L, 2701),
+            ("F[300] a", P, 901),
+            ("X[5000] p", Z, 5001),
+            ("G[2000] (p -> F[3] q)", Z, 54025),
+            ("G[2000] (p -> F[3] q)", G, None),
+            ("G[2000] (p -> F[3] q)", L, 64030),
+            ("G[2000] (p -> F[3] q)", P, 28012),
+        ],
+    )
+    def test_deep_formulas_lower_without_recursion(self, text, interp, nodes):
+        f = parse(text)
+        if nodes is None:
+            # Godel's weak-or definition copies the tail at every step
+            with pytest.raises(BudgetExceeded, match=r"reached 10000[0-9] nodes"):
+                lower_to_adequate(f, interp, eta=ETA_3)
+            return
+        lowered = lower_to_adequate(f, interp, eta=ETA_3)
+        assert node_count(lowered) == nodes
+        assert in_adequate_set(lowered, interp)
+
+    def test_a_shared_subtree_is_lowered_once(self):
+        s = parse("W[2] p")
+        lowered = lower_to_adequate(And(s, s), P, eta=ETA_3)
+        assert lowered.left is lowered.right
+        assert lowered.left == lower_to_adequate(s, P, eta=ETA_3)
+
+    def test_in_adequate_set_visits_each_node_object_once(self):
+        f = Atom("p")
+        for _ in range(200):  # 2**201 - 1 nodes when expanded
+            f = And(f, f)
+        assert in_adequate_set(f, P)
+        assert not in_adequate_set(Or(f, Not(f)), Z)
+
+    def test_ag_expand_spells_the_same_tree_from_shared_parts(self):
+        def nexts(h, f):
+            for _ in range(h):
+                f = Next(f)
+            return f
+
+        f = parse("AG[4] (p | q)")
+        terms = []
+        for j in range(3):
+            for kept in itertools.combinations(range(5), 5 - j):
+                body = reduce(And, [nexts(h, f.arg) for h in kept])
+                terms.append(body if j == 0 else Scale(j, body))
+        want = reduce(Or, terms)
+        out = rewrite_once(f, RULES_3["ag-expand"])
+        assert out == want and node_count(out) == node_count(want) == 344
+        assert _distinct_nodes(out) * 3 < _distinct_nodes(want)
+
+
+class TestRuleSet:
+    def test_names_and_preference_order(self):
+        assert list(RULES_3) == [
+            "FG-dual", "F-from-until", "GF-dual", "demorgan-or", "demorgan-and",
+            "implies-material", "not-via-implies", "or-as-lattice", "weak-and-define",
+            "weak-and-collapse", "weak-or-define", "weak-or-collapse", "F-unfold",
+            "G-unfold", "U-unfold", "U-unfold-w", "AU-unfold", "AU-unfold-w",
+            "scale-to-and", "soon-expand", "within-expand", "lasts-expand",
+            "lasts-expand-w", "ag-expand", "ag-expand-w",
+        ]  # fmt: skip
+
+    def test_fixed_rules_are_shared_and_the_dict_is_fresh(self):
+        crisp = rule_set(AvoidingFunction.crisp())
+        assert crisp is not rule_set(AvoidingFunction.crisp())
+        assert crisp["FG-dual"] is RULES_3["FG-dual"]
+        assert crisp["ag-expand"] is not RULES_3["ag-expand"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -400,6 +401,19 @@ class AvoidingFunction:
 # ---------------------------------------------------------------------------
 
 
+#: Row containers that can be read twice; other rows are copied first so that
+#: the error path of ``Trace`` can read them again.
+_ROW_TYPES = frozenset({tuple, list})
+
+
+def _rereadable(row):
+    try:
+        items = iter(row)
+    except TypeError:
+        return row  # not iterable: the conversion fails on it in row order
+    return tuple(items) if items is row else row
+
+
 @dataclass(frozen=True)
 class Trace:
     """A finite or lasso-shaped linear time structure.
@@ -420,15 +434,32 @@ class Trace:
         object.__setattr__(self, "atoms", atoms)
         if len(set(atoms)) != len(atoms):
             raise ValidationError("duplicate atom names in trace")
-        states = tuple(tuple(degree(v) for v in row) for row in self.states)
+        rows = tuple(self.states)
+        if not _ROW_TYPES.issuperset(map(type, rows)):
+            rows = tuple(map(_rereadable, rows))
+        # C-level passes: one converts, the others bound every value; NaN
+        # passes min and max but turns the sum into NaN.
+        try:
+            states = tuple(map(tuple, map(map, repeat(float), rows)))
+            values = chain.from_iterable
+            total = sum(values(states))
+            valid = total == total and min(values(states)) >= 0.0 and max(values(states)) <= 1.0
+        except (TypeError, ValueError, OverflowError):
+            # whatever float() raised, degree() raises again below, in row
+            # order; min() of a trace without values lands here too
+            valid = False
+        if not valid:
+            # degree() names the first bad value in row-major order
+            states = tuple(tuple(degree(v) for v in row) for row in rows)
         object.__setattr__(self, "states", states)
         if not states:
             raise ValidationError("trace must have at least one state")
-        for i, row in enumerate(states):
-            if len(row) != len(atoms):
-                raise ValidationError(
-                    f"state {i} has {len(row)} entries for {len(atoms)} atoms"
-                )
+        if set(map(len, states)) != {len(atoms)}:
+            for i, row in enumerate(states):
+                if len(row) != len(atoms):
+                    raise ValidationError(
+                        f"state {i} has {len(row)} entries for {len(atoms)} atoms"
+                    )
         if self.loop_start is not None:
             loop = self.loop_start
             if not isinstance(loop, int) or isinstance(loop, bool) or not 0 <= loop < len(states):

@@ -284,21 +284,35 @@ def rule_set(eta: AvoidingFunction) -> dict[str, RewriteRule]:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_first(f: Formula, rule: RewriteRule) -> Optional[Formula]:
-    if type(f) is rule.pattern:
-        return rule.transform(f)
-    kids = children(f)
-    for i, kid in enumerate(kids):
-        new_kid = _rewrite_first(kid, rule)
-        if new_kid is not None:
-            return with_children(f, kids[:i] + (new_kid,) + kids[i + 1:])
-    return None
-
-
 def rewrite_once(f: Formula, rule: RewriteRule) -> Formula:
-    """One leftmost-outermost application; the formula itself if no match."""
-    out = _rewrite_first(f, rule)
-    return f if out is None else out
+    """One leftmost-outermost application; the formula itself if no match.
+
+    A pre-order walk with an explicit stack of ``[node, children, index]``
+    frames, the path from the root to the node visited; only that path is
+    rebuilt around the rewritten node.
+    """
+    path: list[list] = []
+    node = f
+    while True:
+        if type(node) is rule.pattern:
+            out = rule.transform(node)
+            for parent, kids, i in reversed(path):
+                out = with_children(parent, kids[:i] + (out,) + kids[i + 1:])
+            return out
+        kids = children(node)
+        if kids:
+            path.append([node, kids, 0])
+            node = kids[0]
+            continue
+        while path:  # on to the next sibling of the nearest unfinished node
+            frame = path[-1]
+            frame[2] += 1
+            if frame[2] < len(frame[1]):
+                node = frame[1][frame[2]]
+                break
+            path.pop()
+        else:
+            return f
 
 
 #: Connectives each logic keeps after lowering (atoms and constants always pass).

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fuzzytl.cli import main
+from fuzzytl.cli import build_arg_parser, main
 from fuzzytl.demo import availability, generate_day
 
 
@@ -184,6 +188,13 @@ class TestRewrite:
             assert out == "" and err.startswith("budget exceeded; partial form: ")
             assert "Traceback" not in err
 
+    def test_deep_single_rule_rewrite(self, capsys):
+        # the leftmost-outermost search walks 3000 nested X without recursing
+        rc = main(["rewrite", "--formula", "X[3000] G p", "--target", "rule:FG-dual", "--interp", "zadeh"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == "X[3000]!F!p\n" and err == ""
+
     def test_verify_prints_difference(self, table3, capsys):
         rc = main(
             [
@@ -223,6 +234,35 @@ class TestCheck:
         monkeypatch.setitem(__import__("fuzzytl.cli", fromlist=["SUITES"]).SUITES, "oracle", broken)
         assert main(["check", "--suite", "oracle"]) == 5
         assert "counterexample here" in capsys.readouterr().out
+
+
+class TestImports:
+    def test_cli_imports_no_law_suites(self):
+        # eval needs none of these; each subcommand imports its own
+        code = "import sys, fuzzytl.cli; print(' '.join(sorted(sys.modules)))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        assert "fuzzytl.cli" in out
+        for name in ("checks", "rewrite", "oracle", "demo"):
+            assert f"fuzzytl.{name}" not in out
+
+    def test_suites_attribute_is_the_law_suite_table(self):
+        import fuzzytl.checks
+        import fuzzytl.cli
+
+        assert fuzzytl.cli.SUITES is fuzzytl.checks.SUITES
+        with pytest.raises(AttributeError):
+            fuzzytl.cli.NO_SUCH_NAME
+
+    def test_suite_choices_follow_the_law_suite_table(self):
+        from fuzzytl.checks import SUITES
+
+        commands = next(a for a in build_arg_parser()._actions if a.dest == "command")
+        suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+        assert suite.choices == [*sorted(SUITES), "all"]
 
 
 class TestGenDemo:

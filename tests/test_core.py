@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -152,6 +153,102 @@ class TestTrace:
     def test_rejects_out_of_range_degrees(self):
         with pytest.raises(ValidationError):
             Trace(("p",), ((1.5,),))
+
+
+def trace_outcome(build) -> str:
+    """What building a trace gives: its stored values as ``float.hex`` (so
+    -0.0 and the last bit show), or the exception's type and message."""
+    try:
+        trace = build()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    rows = [" ".join(map(float.hex, row)) for row in trace.states]
+    return f"{trace.atoms} loop={trace.loop_start} " + " | ".join(rows)
+
+
+#: Values a trace row may hold, accepted or not.
+INGEST_VALUES = (
+    0.0, 1.0, 0.25, -0.0, 5e-324, 0.1 + 0.2, float("nan"), float("inf"), float("-inf"),
+    -1e-300, 1.0000000000000002, None, "x", [0.5], (0.5,), 0, 1, 2, True, False,
+    "0.5", " 0.75 ", "1e-3", "-0", "nan", "inf", "", 1.5,
+)
+
+
+def trace_ingest_cases():
+    """(label, thunk) pairs: every value in each cell of a two-atom trace,
+    one value after another in row-major order, ragged rows before and after
+    a bad value, and the other checks of ``Trace``."""
+    cases = []
+    for v in INGEST_VALUES:
+        cases.append((f"first {v!r}", lambda v=v: Trace(("p", "q"), ((v, 0.5), (0.5, 0.5)))))
+        cases.append((f"last {v!r}", lambda v=v: Trace(("p", "q"), [[0.5, 0.5], [0.5, v]])))
+    for a in INGEST_VALUES:
+        for b in ("x", float("nan"), 2.0, None, 0.5):
+            cases.append((f"{a!r} then {b!r}", lambda a=a, b=b: Trace(("p",), ((a,), (b,)))))
+    cases += [
+        ("ragged after bad", lambda: Trace(("p", "q"), ((0.5, 0.5), (0.5, 1.5), (0.5,)))),
+        ("ragged before bad", lambda: Trace(("p", "q"), ((0.5,), (0.5, float("nan"))))),
+        ("ragged long", lambda: Trace(("p",), ((0.5,), (0.5, 0.5)))),
+        ("no states", lambda: Trace(("p",), ())),
+        ("no atoms", lambda: Trace((), ((), ()))),
+        ("duplicate atoms", lambda: Trace(("p", "p"), ((0.5, 0.5),))),
+        ("row not iterable", lambda: Trace(("p",), (0.5,))),
+        ("bad value before a row that is not iterable", lambda: Trace(("p",), ((2.0,), 0.5))),
+        ("string row", lambda: Trace(("p", "q"), ("01",))),
+        ("states not iterable", lambda: Trace(("p",), None)),
+        ("lasso", lambda: Trace(("p",), ((0.5,), (1,)), 1)),
+        ("loop out of range", lambda: Trace(("p",), ((0.5,),), 1)),
+        ("loop and bad value", lambda: Trace(("p",), ((7,),), 3)),
+        ("generator rows", lambda: Trace(("p", "q"), ((x for x in r) for r in ((0.5, "1"), (True, -0.0))))),
+        ("generator rows, bad", lambda: Trace(("p", "q"), ((x for x in r) for r in ((0.5, 0.5), (0.5, "y"))))),
+        ("iterator row", lambda: Trace(("p",), [iter([0.5]), (1.5,)])),
+    ]
+    return cases
+
+
+#: sha256 of the outcomes of ``trace_ingest_cases``, taken before ``Trace``
+#: validated values in bulk.
+TRACE_INGEST_DIGEST = "c55391edcb16c4f81e7a2a63cb41486f64ee29b3b586969de11a58048919e9d0"
+
+
+class TestTraceIngest:
+    def test_outcomes_match_the_per_value_validator(self):
+        lines = [f"{label}: {trace_outcome(build)}" for label, build in trace_ingest_cases()]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRACE_INGEST_DIGEST
+
+    def test_values_kept_as_floats(self):
+        trace = Trace(("p", "q", "r"), [[-0.0, True, "0.5"], [0, " 1 ", 5e-324]])
+        assert trace.states == ((0.0, 1.0, 0.5), (0.0, 1.0, 5e-324))
+        assert [type(v) for row in trace.states for v in row] == [float] * 6
+        assert str(trace.states[0][0]) == "-0.0"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((0.5, 0.5), (0.5, float("nan")), (0.5,)), "truth degree nan outside [0, 1]"),
+            (((0.5, 2), (None, 0.5)), "truth degree 2.0 outside [0, 1]"),
+            (((0.5, 0.5), (None, 2)), "truth degree None is not a number"),
+            (((0.5, 0.5), (0.5,)), "state 1 has 1 entries for 2 atoms"),
+        ],
+    )
+    def test_first_bad_value_in_row_major_order(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            Trace(("p", "q"), rows)
+        assert str(exc.value) == message
+
+    def test_generator_of_generators(self):
+        # the error path reads the rows again, so one-shot rows are kept
+        def rows(*values):
+            for row in ((0.5, 1), *values):
+                yield (v for v in row)
+
+        assert Trace(("p", "q"), rows((0.25, 0.0))).states == ((0.5, 1.0), (0.25, 0.0))
+        with pytest.raises(ValidationError) as exc:
+            Trace(("p", "q"), rows((2.0, 0.5), (0.25, "zz")))
+        assert str(exc.value) == "truth degree 2.0 outside [0, 1]"
+        with pytest.raises(ValidationError) as exc:
+            Trace(("p", "q"), rows((0.25, "zz"), (2.0, 0.5)))
+        assert str(exc.value) == "truth degree 'zz' is not a number"
 
 
 class TestFormulaNodes:

@@ -69,6 +69,20 @@ class TestRewriteOnce:
         out = rewrite_once(f, RULES_3["FG-dual"])
         assert out == parse("!F!(G p & q)")
 
+    def test_leftmost_of_siblings_only(self):
+        f = parse("(p & X G q) | G r")
+        out = rewrite_once(f, RULES_3["FG-dual"])
+        assert out == parse("(p & X !F!q) | G r")
+        # only the path down to the match is rebuilt
+        assert out.left.left is f.left.left and out.right is f.right
+
+    def test_deep_formula_without_recursion(self):
+        # compared as text: == on 3000 nested nodes still recurses
+        out = rewrite_once(parse("X[3000] (p | G q)"), RULES_3["FG-dual"])
+        assert format_formula(out) == "X[3000](p | !F!q)"
+        f = parse("X[3000] p")
+        assert rewrite_once(f, RULES_3["FG-dual"]) is f
+
     def test_soon_expand_crisp_table_is_next(self):
         rules = rule_set(AvoidingFunction.crisp())
         assert rewrite_once(parse("S p"), rules["soon-expand"]) == parse("X p")

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+
 import pytest
 
 from fuzzytl.core import AvoidingFunction, Interpretation, Trace
@@ -68,6 +71,8 @@ def test_encodings_evaluate_identically(tmp_path):
         '{"atoms": ["p"], "states": [["x"]]}',
         '{"atoms": ["p"], "states": [[null]]}',
         '{"atoms": ["p"], "states": [[0.5]], "loop": true}',
+        '{"atoms": "pq", "states": [[0.1, 0.2]]}',
+        '{"atoms": {"p": 1}, "states": [[0.5]]}',
     ],
 )
 def test_bad_json_rejected(bad):
@@ -82,6 +87,140 @@ def test_bad_json_rejected(bad):
 def test_bad_csv_rejected(bad):
     with pytest.raises(ValidationError):
         trace_from_csv(bad)
+
+
+def load_outcome(load, text) -> str:
+    """What loading a trace gives: its stored values as ``float.hex``, or
+    the exception's type and message."""
+    try:
+        trace = load(text)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    rows = [" ".join(map(float.hex, row)) for row in trace.states]
+    return f"{trace.atoms} loop={trace.loop_start} " + " | ".join(rows)
+
+
+#: JSON literals for one cell, accepted or not.
+JSON_VALUES = (
+    "0", "1", "2", "0.5", "-0.0", "5e-324", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+    "-1e-300", "1.0000000000000002", "null", '"x"', '"0.5"', '" 0.25 "', '"-0"', '"nan"',
+    "true", "false", "[0.5]", "[]", "{}",
+)
+
+#: CSV cells, accepted or not.
+CSV_VALUES = (
+    "0", "1", "2", "0.5", "-0.0", "5e-324", "1e400", "nan", "NaN", "inf", "-inf", "-1e-300",
+    "1.0000000000000002", "x", "", " ", " 0.5 ", "\t0.25", "\u00a00.5", "\uff10.\uff15",
+    "True", "0x1", "1_0", "0.5.0",
+)
+
+
+def json_ingest_cases():
+    cases = []
+    for v in JSON_VALUES:
+        cases.append(f'{{"atoms": ["p", "q"], "states": [[{v}, 0.5], [0.5, 0.5]]}}')
+        cases.append(f'{{"atoms": ["p", "q"], "states": [[0.5, 0.5], [0.5, {v}]], "loop": 1}}')
+        cases.append(f'{{"atoms": ["p", "q"], "states": [[0.5, 2], [0.5, {v}]]}}')
+        cases.append(f'{{"atoms": ["p", "q"], "states": [[0.5, {v}], [0.5]]}}')
+    cases += [
+        '{"atoms": ["p", "q"], "states": [[0.5, 0.5], [0.5, 1.5], [0.5]]}',
+        '{"atoms": ["p", "q"], "states": [[0.5], [0.5, NaN]]}',
+        '{"atoms": ["p"], "states": []}',
+        '{"atoms": [], "states": [[], []]}',
+        '{"atoms": ["p", "p"], "states": [[0.5, 0.5]]}',
+        '{"atoms": ["p"], "states": [[0.5]], "loop": 1}',
+        '{"atoms": ["p"], "states": [[0.5]], "loop": 0.0}',
+        '{"atoms": ["p"], "states": [0.5]}',
+        '{"atoms": ["p"], "states": {"0": [0.5]}}',
+        '{"atoms": ["p"], "states": [[7]], "loop": 3}',
+        '{"atoms": [1], "states": [[0.5]]}',
+        '{"atoms": ["p"], "states": [[0.5]], "extra": 1}',
+        '  {"atoms": ["p"], "states": [[0.5]]}',
+        '[1]',
+        '{"atoms": ["p"], "states": [[0.5]',
+    ]
+    return cases
+
+
+def csv_ingest_cases():
+    cases = []
+    for v in CSV_VALUES:
+        cases.append(f"p,q\n{v},0.5\n0.5,0.5\n")
+        cases.append(f"# loop=1\np,q\n0.5,0.5\n0.5,{v}\n")
+        cases.append(f"p,q\n0.5,2\n0.5,{v}\n")
+        cases.append(f"p,q\n0.5,{v}\n0.5\n")
+        cases.append(f"p\n{v}\n")
+    cases += [
+        "p,q\n0.5,0.5\n0.5,1.5\n0.5\n",
+        "p,q\n0.5\n0.5,nan\n",
+        "\n  \np , q\n\n 0.5 , 0.25 \n\t\n1,0\n\n",
+        "#loop = 0\np\n0.5\n",
+        "# loop=2\np\n0.5\n",
+        "# loop=x\np\n0.5\n",
+        "# loop=0\n",
+        "p\n",
+        "p,p\n0.5,0.5\n",
+        "p\r\n0.5\r\n0.25\r\n",
+        "p,q\n0.5,0.5,\n",
+        "",
+        "  \n",
+    ]
+    return cases
+
+
+#: sha256 of the outcomes of ``json_ingest_cases`` and ``csv_ingest_cases``,
+#: taken before ``Trace`` validated values in bulk and before the loaders
+#: stopped copying rows.
+JSON_INGEST_DIGEST = "377e5e94f2bc12e36726db21c9a8d4aa21690df5310d21021419ef5e8d713264"
+CSV_INGEST_DIGEST = "b55d0878602d66aa95cee9f887baaa3ccf7f592d56223af340290244a7e317fe"
+
+
+class TestIngestGolden:
+    def test_json_outcomes(self):
+        lines = [f"{text}: {load_outcome(trace_from_json, text)}" for text in json_ingest_cases()]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == JSON_INGEST_DIGEST
+
+    def test_csv_outcomes(self):
+        lines = [f"{text!r}: {load_outcome(trace_from_csv, text)}" for text in csv_ingest_cases()]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CSV_INGEST_DIGEST
+
+    def test_json_booleans_and_numeric_strings_load(self):
+        trace = trace_from_json('{"atoms": ["p", "q"], "states": [[true, "0.5"], [false, -0.0]]}')
+        assert trace.states == ((1.0, 0.5), (0.0, 0.0))
+        assert str(trace.states[1][1]) == "-0.0"
+
+    def test_csv_cells_parse_like_float(self):
+        trace = trace_from_csv("p,q\n 0.5 ,\t1\n-0.0, 1e-3\n")
+        assert trace.states == ((0.5, 1.0), (0.0, 0.001))
+        assert str(trace.states[1][0]) == "-0.0"
+
+    def test_bad_csv_value_names_its_row(self):
+        with pytest.raises(ValidationError) as exc:
+            trace_from_csv("p,q\n0.5,2\n 0.5 , x \n")
+        assert str(exc.value) == "bad CSV value in row '0.5 , x'"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (trace_from_json, '{"atoms": ["p"], "states": [[0.5]]}'),
+        (trace_from_json, '{"atoms": ["p"], "states": [[1.5]]}'),
+        (trace_from_csv, "p\n0.5\n"),
+        (trace_from_csv, "p\nx\n"),
+    ],
+)
+def test_loading_leaves_the_collector_as_it_was(load, text, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        try:
+            load(text)
+        except ValidationError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 class TestEtaSpecs:

@@ -36,6 +36,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
+    FormulaTooDeep,
     FtlError,
     HorizonExceedsTrace,
     NoConvergence,

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 formula syntax error, 2 trace or eta validation,
-3 evaluation error, 4 rewrite budget exhausted (or no rule applies),
-5 law-suite failure.
+3 evaluation error (a formula nested too deep to evaluate included),
+4 rewrite budget exhausted (or no rule applies), 5 law-suite failure.
 """
 
 from __future__ import annotations

@@ -29,6 +29,8 @@ def degree(value: float) -> TruthDegree:
         value = float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"truth degree {value!r} is not a number") from exc
+    except OverflowError as exc:  # an int too large for a float
+        raise ValidationError(f"truth degree {value!r} outside [0, 1]") from exc
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"truth degree {value!r} outside [0, 1]")
     return value

@@ -40,6 +40,11 @@ class HorizonExceedsTrace(FtlError):
     """A bounded window leaves a finite trace under the strict policy."""
 
 
+class FormulaTooDeep(FtlError):
+    """A formula nests deeper than evaluation can recurse (Python's stack
+    limit); raised in place of a RecursionError."""
+
+
 class ScaleIndexOutOfRange(FtlError):
     """A scaling operator index lies outside 1 .. n_eta-1."""
 

@@ -1,20 +1,25 @@
-"""Recursive truth-degree evaluation over finite and lasso traces.
+"""Truth-degree evaluation over finite and lasso traces.
 
 Bounded operators evaluate their window directly; unbounded operators reach
 their exact limit on lasso traces and fall back to the largest window that
 fits on finite traces, tagging the result with a bound direction.
 
-One ``evaluate`` call keeps a value column per subformula it touches, so a
-window reads its child's values as one list slice once they are computed.
+One ``evaluate`` call keeps a value column per subformula it touches.  A
+window reads its child as one span of that column, and every missing run of
+the span is filled by one call of the child's handler, which computes the
+whole run ``[lo, hi)`` at once; a point evaluation is a run of length 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, count, repeat
+from operator import gt, is_not, itemgetter, lt, mul
 from typing import Optional
 
 from . import algebra
@@ -48,6 +53,8 @@ from .core import (
     Within,
 )
 from .errors import (
+    FormulaTooDeep,
+    FtlError,
     HorizonExceedsTrace,
     NotALasso,
     PositionOutOfRange,
@@ -96,11 +103,39 @@ def _flip(e: Exactness) -> Exactness:
     return e
 
 
+def _join(a, b):
+    """Pointwise join of two tag lists, either of which may be None (all
+    exact)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return list(map(_combine, a, b))
+
+
+def _window_tags(tags, n: int, width: int):
+    """The joined tag of each window tags[i : i + width], i < n, or None when
+    every value is exact."""
+    if tags is None:
+        return None
+    return [functools.reduce(_combine, set(tags[i : i + width]), _EXACT) for i in range(n)]
+
+
+#: Connective -> a C-level operation giving the same bits: min and max keep
+#: the first of equal values, as _minimum and _maximum do.
+_C_BINARY = {algebra._minimum: min, algebra._maximum: max, algebra._prod_tnorm: mul}
+
 #: Interpretation -> binary connective class -> its operation.  && and || are
 #: the exact lattice min and max; algebra.weak_and and weak_or reach them
 #: through the residuum, which rounds.
 _BINARY = {
-    interp: {And: ops.tnorm, Or: ops.tconorm, Implies: ops.implies, WeakAnd: min, WeakOr: max}
+    interp: {
+        And: _C_BINARY.get(ops.tnorm, ops.tnorm),
+        Or: _C_BINARY.get(ops.tconorm, ops.tconorm),
+        Implies: ops.implies,
+        WeakAnd: min,
+        WeakOr: max,
+    }
     for interp, ops in ((i, algebra.ops_for(i)) for i in Interpretation)
 }
 
@@ -141,7 +176,7 @@ class ComparisonCounter:
 
 
 # ---------------------------------------------------------------------------
-# Selection of the smallest window values
+# Folds and the smallest window values
 # ---------------------------------------------------------------------------
 
 
@@ -189,47 +224,75 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
 #: and _maximum do, and math.prod multiplies left to right from 1.
 _C_FOLDS = {algebra._minimum: min, algebra._maximum: max, algebra._prod_tnorm: math.prod}
 
+#: The other connectives -> their absorbing element.  A step that gives it
+#: gives it exactly (0.0 from the Lukasiewicz t-norm's clamp, 1.0 from the
+#: t-conorms'), and every later step of a fold over [0, 1] gives it again,
+#: so a fold can stop there with the bits of the whole fold.
+_ABSORBING = {
+    algebra._luk_tnorm: 0.0,
+    algebra._luk_tconorm: 1.0,
+    algebra._prod_tconorm: 1.0,
+}
+
+#: min and max -> when a monotone deque drops its back value for a new one:
+#: only when the new one is strictly better, so the first of equal values
+#: stays in front.
+_DEQUE_DROPS = {algebra._minimum: gt, algebra._maximum: lt}
+
 
 def _fold(op, values) -> float:
     """Left fold of ``op`` over non-empty ``values`` in position order."""
     c_fold = _C_FOLDS.get(op)
     if c_fold is not None:
         return c_fold(values)
-    return functools.reduce(op, values)
+    absorbing = _ABSORBING[op]
+    it = iter(values)
+    acc = next(it)
+    for v in it:
+        acc = op(acc, v)
+        if acc == absorbing:  # a result of op, never a leading -0.0 input
+            break
+    return acc
 
 
-def _almost_always_value(
-    interp: Interpretation,
-    ops: ConnectiveOps,
-    eta: AvoidingFunction,
-    values: list[float],
-    counter: Optional[ComparisonCounter] = None,
-) -> float:
-    """max over j <= min(t, n_eta - 1) of eta(j) * (t-norm of the window
-    minus its j smallest values); the retained set is never empty."""
-    m = len(values)
-    j_max = min(m - 1, eta.n_eta - 1)
-    kept = _select_smallest(values, j_max + 1, counter)
-    best = None
+def _slide(op, values, n: int, width: int) -> list:
+    """The left fold of ``op`` over values[i : i + width] for every i < n.
+
+    min and max slide one monotone deque of positions over the values
+    (Lemire, *Streaming Maximum-Minimum Filter*, 2006); the other folds fold
+    each window, stopping at an absorbing element.
+    """
+    drops = _DEQUE_DROPS.get(op)
+    if drops is None or n == 1:
+        return [_fold(op, values[i : i + width]) for i in range(n)]
+    out = []
+    window: deque = deque()
+    for j, v in enumerate(values):
+        while window and drops(values[window[-1]], v):
+            window.pop()
+        window.append(j)
+        i = j - width + 1
+        if i >= 0:
+            if window[0] < i:
+                window.popleft()
+            out.append(values[window[0]])
+    return out
+
+
+def _best_drop(interp, tnorm, weights, values, kept, offset: int = 0) -> float:
+    """max over j < len(kept) of weights[j] * the t-norm fold of ``values``
+    without the positions of kept[:j] (offset by ``offset``), folded in
+    position order; the first best j wins."""
     if interp in _IDEMPOTENT:
         # the window product minus j smallest is just the (j+1)-th smallest
-        for j in range(j_max + 1):
-            cand = scale(kept[j][0], eta.lookup(j))
-            if best is None or cand > best:
-                best = cand
-            if counter is not None:
-                counter.count += 1
-    else:
-        tnorm = ops.tnorm
-        retain = [True] * m
-        for j in range(j_max + 1):
-            if j:
-                retain[kept[j - 1][1]] = False  # drop the j-th smallest too
-            cand = scale(_fold(tnorm, compress(values, retain)), eta.lookup(j))
-            if best is None or cand > best:
-                best = cand
-            if counter is not None:
-                counter.count += 1
+        return max(map(mul, [v for v, _ in kept], weights))
+    retain = [True] * len(values)
+    best = None
+    for (_, p), w in zip(kept, weights):
+        cand = scale(_fold(tnorm, compress(values, retain)), w)
+        if best is None or cand > best:
+            best = cand
+        retain[p - offset] = False  # the next j drops this value too
     return best
 
 
@@ -241,9 +304,9 @@ class _DropBuffer:
     keep the earliest position, as in _select_smallest), and the t-norm fold
     of every value that left them or never entered.  Dropping the j smallest
     retains that fold and kept[j:], so one backward fold over the kept values
-    prices every j in O(n_eta).  Unlike _almost_always_value this does not
-    fold in window order: the same value under min, equal up to rounding
-    under the Archimedean t-norms.
+    prices every j in O(n_eta).  Unlike _best_drop this does not fold in
+    window order: the same value under min, equal up to rounding under the
+    Archimedean t-norms.
     """
 
     __slots__ = ("_tnorm", "_weights", "_kept", "_rest")
@@ -278,7 +341,7 @@ class _DropBuffer:
 
 
 # ---------------------------------------------------------------------------
-# The recursive evaluator
+# Columns and spans
 # ---------------------------------------------------------------------------
 
 
@@ -304,7 +367,11 @@ class _Columns(dict):
     formula evaluated at one position of a long trace stays small.
     ``base`` is the lowest position the evaluation can read: the evaluated
     position (past a finite trace, its padded tail at len(trace)), or the
-    loop start of a lasso if that is lower.
+    loop start of a lasso if that is lower.  Under the pad-zero policy the
+    slot at len(trace) holds the value every padded position shares.
+
+    ``runs`` is False while an evaluation is redone one position at a time
+    (see _run).
 
     Keying by ``id`` means a lookup never hashes a subtree.  That is sound
     because the evaluator never builds formula nodes: every key is a node of
@@ -312,218 +379,305 @@ class _Columns(dict):
     call, so no id is reused while the memo lives.
     """
 
-    __slots__ = ("base", "_first")
+    __slots__ = ("base", "_first", "runs")
 
     def __init__(self, trace: Trace, pos: int) -> None:
         self.base = min(pos, len(trace) if trace.loop_start is None else trace.loop_start)
         self._first = min(len(trace) + 1 - self.base, 64)
+        self.runs = True
 
     def __missing__(self, key: int):
         col = self[key] = ([None] * self._first, {})
         return col
 
 
+def _span(ctx, arg, pos, n, memo):
+    """The values of ``arg`` at positions pos .. pos+n-1 and their tags:
+    None when every value is exact, else one Exactness per position.
+
+    Each missing run of the column is filled by one handler call, in
+    position order.  Past the end of a finite trace the span repeats the
+    padded tail value, or raises HorizonExceedsTrace under the strict policy
+    naming the first position past the end once the positions before it are
+    filled; around a lasso it reads the loop's slice of the column.  So the
+    values filled, and the error met first, are those of a position-by-
+    position read.
+    """
+    trace = ctx.trace
+    length = trace._length
+    stop = pos + n
+    values, inexact = memo[id(arg)]
+    base = memo.base
+    if n == 1 and pos < length:  # a point read
+        i = pos - base
+        if i >= len(values):
+            values.extend([None] * (i + 1 - len(values)))
+        v = values[i]
+        if v is None:
+            (v,), tags = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
+            values[i] = v
+            if tags is not None and tags[0] is not _EXACT:
+                inexact[pos] = tags[0]
+        ex = inexact.get(pos) if inexact else None
+        return [v], None if ex is None else [ex]
+    loop = trace.loop_start
+    if stop <= length:
+        fills = ((pos, stop),)
+    elif loop is not None:
+        first = max(pos, length)
+        wrap = loop + (first - loop) % (length - loop)
+        m = stop - first  # positions read around the loop, from wrap on
+        rest = m - (length - wrap)  # positions read after the first wrap
+        fills = ((pos, length), (wrap, min(length, wrap + m)), (loop, min(wrap, loop + rest)))
+    elif ctx.finite_policy is FinitePolicy.STRICT:
+        fills = ((pos, length),)
+    else:
+        fills = ((min(pos, length), length + 1),)
+    for lo, hi in fills:
+        if lo >= hi:
+            continue
+        j = hi - base
+        if len(values) < j:
+            values.extend([None] * (j - len(values)))
+        missing = values[lo - base : j]
+        if None not in missing:
+            continue
+        handler = _HANDLERS[type(arg)]
+        end = len(missing)
+        missing.append(None)  # a sentinel, so index(None) always finds one
+        i = missing.index(None)
+        while i < end:
+            if not memo.runs:
+                k = i + 1
+            elif missing.count(None) == end + 1 - i:
+                k = end  # the rest of the range is missing
+            else:
+                k = next(compress(count(i), map(is_not, missing[i:], repeat(None))))
+            out, tags = handler(ctx, arg, lo + i, lo + k, memo)
+            values[lo + i - base : lo + k - base] = out
+            if tags is not None:
+                inexact.update((q, e) for q, e in zip(count(lo + i), tags) if e is not _EXACT)
+            missing[i:k] = out
+            i = missing.index(None, k)
+    if stop <= length:
+        out = values[pos - base : stop - base]
+    elif loop is not None:
+        cycle = values[loop - base : length - base]
+        k = wrap - loop
+        cycle = cycle[k:] + cycle[:k]
+        out = values[pos - base : length - base] + (cycle * (m // len(cycle) + 1))[:m]
+        return out, None  # on a lasso every value is exact, unbounded ones included
+    elif ctx.finite_policy is FinitePolicy.STRICT:
+        _canonical_tail(ctx, max(pos, length))  # raises
+    else:
+        tail = [values[length - base]] * (stop - max(pos, length))
+        out = values[pos - base : length - base] + tail
+    if not inexact:
+        return out, None
+    tags = [inexact.get(q, _EXACT) for q in range(pos, min(stop, length))]
+    if stop > length:
+        tags += [inexact.get(length, _EXACT)] * (stop - max(pos, length))
+    if tags.count(_EXACT) == len(tags):
+        return out, None
+    return out, tags
+
+
 def _eval(ctx, f, pos, memo):
+    """The value of ``f`` at one position and its exactness."""
     if pos >= ctx.trace._length:
         pos = _canonical_tail(ctx, pos)
-    values, inexact = memo[id(f)]
-    i = pos - memo.base
-    if i < len(values):
-        v = values[i]
-        if v is not None:
-            return v, inexact.get(pos, _EXACT)
-    else:
-        values.extend([None] * (i + 1 - len(values)))
-    v, ex = _HANDLERS[type(f)](ctx, f, pos, memo)
-    values[i] = v
-    if ex is not _EXACT:
-        inexact[pos] = ex
-    return v, ex
+    (v,), tags = _span(ctx, f, pos, 1, memo)
+    return v, tags[0] if tags else _EXACT
 
 
-def _first_missing(arg, start, stop, memo) -> int:
-    """The first position in start .. stop-1 where ``arg`` is not yet
-    computed, or ``stop``."""
-    i = start - memo.base
-    known = memo[id(arg)][0][i : i + stop - start]
-    return start + (known.index(None) if None in known else len(known))
+# ---------------------------------------------------------------------------
+# Handlers: each fills the run lo .. hi-1 of its node's column
+# ---------------------------------------------------------------------------
+#
+# A handler returns the run's values and their tags (None when all exact).
+# A run lies inside the trace, or is the padded tail slot of a finite trace
+# under the pad-zero policy, or both: lo < hi <= len(trace) + 1.
 
 
-def _span(ctx, arg, pos, n, memo):
-    """The values of ``arg`` at positions pos .. pos+n-1 and their joined
-    exactness.
-
-    Missing values are computed in position order, and a span that leaves
-    the trace canonicalises each position, so a strict-policy
-    HorizonExceedsTrace names the same first position as a position-by-
-    position read.  A span inside the trace is one slice of the column.
-    """
-    stop = pos + n
-    if stop > ctx.trace._length:
-        out = []
-        ex = _EXACT
-        for p in range(pos, stop):
-            v, cex = _eval(ctx, arg, p, memo)
-            out.append(v)
-            ex = _combine(ex, cex)
-        return out, ex
-    for p in range(_first_missing(arg, pos, stop, memo), stop):
-        _eval(ctx, arg, p, memo)
-    values, inexact = memo[id(arg)]
-    i = pos - memo.base
-    out = values[i : i + n]
-    if not inexact:
-        return out, _EXACT
-    tags = set(map(inexact.get, range(pos, stop)))
-    tags.discard(None)
-    return out, functools.reduce(_combine, tags, _EXACT)
-
-
-def _h_atom(ctx, f, pos, memo):
+def _h_atom(ctx, f, lo, hi, memo):
     name = f.name
     if name.startswith(ETA_ATOM_PREFIX):
         suffix = name[len(ETA_ATOM_PREFIX):]
         if suffix.isdigit():
-            return ctx.eta.lookup(int(suffix)), _EXACT
+            return [ctx.eta.lookup(int(suffix))] * (hi - lo), None
     trace = ctx.trace
-    if pos >= trace._length:  # padded region of a finite trace
-        return 0.0, _EXACT
+    length = trace._length
+    if lo >= length:  # padded region of a finite trace
+        return [0.0], None
     k = trace._index.get(name)
     if k is None:
-        return trace.at(pos, name), _EXACT  # delegates the unknown-atom error
-    return trace.states[pos][k], _EXACT
+        trace.at(lo, name)  # raises the unknown-atom error
+    if hi == lo + 1:
+        return [trace.states[lo][k]], None
+    out = list(map(itemgetter(k), trace.states[lo:hi]))
+    if hi > length:
+        out.append(0.0)
+    return out, None
 
 
-def _h_top(ctx, f, pos, memo):
-    return 1.0, _EXACT
+def _h_top(ctx, f, lo, hi, memo):
+    return [1.0] * (hi - lo), None
 
 
-def _h_bot(ctx, f, pos, memo):
-    return 0.0, _EXACT
+def _h_bot(ctx, f, lo, hi, memo):
+    return [0.0] * (hi - lo), None
 
 
-def _h_not(ctx, f, pos, memo):
-    v, ex = _eval(ctx, f.arg, pos, memo)
-    return ctx.ops.neg(v), _flip(ex)
+def _h_not(ctx, f, lo, hi, memo):
+    values, tags = _span(ctx, f.arg, lo, hi - lo, memo)
+    return list(map(ctx.ops.neg, values)), tags and list(map(_flip, tags))
 
 
-def _h_binary(ctx, f, pos, memo):
-    lv, lex = _eval(ctx, f.left, pos, memo)
-    rv, rex = _eval(ctx, f.right, pos, memo)
+def _h_binary(ctx, f, lo, hi, memo):
+    left, ltags = _span(ctx, f.left, lo, hi - lo, memo)
+    right, rtags = _span(ctx, f.right, lo, hi - lo, memo)
     cls = type(f)
-    if cls is Implies:  # antitone in its premise
-        lex = _flip(lex)
-    return ctx._binary[cls](lv, rv), _combine(lex, rex)
+    out = list(map(ctx._binary[cls], left, right))
+    if ltags is None and rtags is None:
+        return out, None
+    if ltags is not None and cls is Implies:  # antitone in its premise
+        ltags = list(map(_flip, ltags))
+    return out, _join(ltags, rtags)
 
 
-def _h_next(ctx, f, pos, memo):
+def _h_next(ctx, f, lo, hi, memo):
     # unwrap next-chains iteratively so X[k] sugar cannot blow the stack
     steps = 0
     inner = f
     while isinstance(inner, Next):
         steps += 1
         inner = inner.arg
-    return _eval(ctx, inner, pos + steps, memo)
+    return _span(ctx, inner, lo + steps, hi - lo, memo)
 
 
-def _h_soon(ctx, f, pos, memo):
-    eta = ctx.eta
-    values, ex = _span(ctx, f.arg, pos + 1, eta.n_eta, memo)
-    terms = [scale(v, eta.lookup(d)) for d, v in enumerate(values)]
-    return _fold(ctx.ops.tconorm, terms), ex
+def _weighted_windows(ctx, arg, start, n, weights, memo):
+    """The t-conorm fold of values[i + d] * weights[d] over d, for the n
+    windows starting at start, start+1, ..."""
+    width = len(weights)
+    values, tags = _span(ctx, arg, start, n + width - 1, memo)
+    tconorm = ctx.ops.tconorm
+    out = [_fold(tconorm, list(map(mul, values[i : i + width], weights))) for i in range(n)]
+    return out, _window_tags(tags, n, width)
 
 
-def _fold_window(ctx, arg, pos, t, memo, op):
-    values, ex = _span(ctx, arg, pos, t + 1, memo)
-    return _fold(op, values), ex
+def _h_soon(ctx, f, lo, hi, memo):
+    # eta(d) weighs a delay of d + 1 instants
+    return _weighted_windows(ctx, f.arg, lo + 1, hi - lo, ctx.eta.table, memo)
 
 
-def _f_window(ctx, f, pos, t, memo):
-    return _fold_window(ctx, f.arg, pos, t, memo, ctx.ops.tconorm)
-
-
-def _g_window(ctx, f, pos, t, memo):
-    return _fold_window(ctx, f.arg, pos, t, memo, ctx.ops.tnorm)
-
-
-def _h_within(ctx, f, pos, memo):
+def _h_within(ctx, f, lo, hi, memo):
     # within t: satisfied inside the next t instants at full weight, or in the
     # following n_eta - 1 instants at a decreasing penalty
+    weights = (1.0,) * (f.bound + 1) + ctx.eta.table[1:]
+    return _weighted_windows(ctx, f.arg, lo, hi - lo, weights, memo)
+
+
+def _h_lasts(ctx, f, lo, hi, memo):
     t = f.bound
-    eta = ctx.eta
-    values, ex = _span(ctx, f.arg, pos, t + eta.n_eta, memo)
-    terms = [scale(v, eta.lookup(d - t)) for d, v in enumerate(values)]
-    return _fold(ctx.ops.tconorm, terms), ex
+    n = hi - lo
+    values, tags = _span(ctx, f.arg, lo, n + t, memo)
+    tnorm = ctx.ops.tnorm
+    step = _C_BINARY.get(tnorm, tnorm)
+    j_top = min(t, ctx.eta.n_eta - 1)
+    weights = ctx.eta.table[: j_top + 1]
+    head = t + 1 - j_top  # every j keeps at least the window's first head values
+    out = []
+    for i in range(n):
+        # the prefix folds of the window that cut j = j_top .. 0 instants
+        first = _fold(tnorm, values[i : i + head])
+        prefix = list(accumulate(values[i + head : i + t + 1], step, initial=first))
+        out.append(max(map(mul, reversed(prefix), weights)))
+    return out, _window_tags(tags, n, t + 1)
 
 
-def _h_lasts(ctx, f, pos, memo):
-    t = f.bound
-    eta = ctx.eta
-    # prefix folds give every G over a shorter window in one pass
-    values, ex = _span(ctx, f.arg, pos, t + 1, memo)
-    prefix = list(accumulate(values, ctx.ops.tnorm))
-    best = None
-    for j in range(min(t, eta.n_eta - 1) + 1):
-        cand = scale(prefix[t - j], eta.lookup(j))
-        if best is None or cand > best:
-            best = cand
-    return best, ex
+def _fold_windows(ctx, arg, lo, hi, t, memo, op):
+    n = hi - lo
+    values, tags = _span(ctx, arg, lo, n + t, memo)
+    return _slide(op, values, n, t + 1), _window_tags(tags, n, t + 1)
 
 
-def _ag_window(ctx, f, pos, t, memo):
-    values, ex = _span(ctx, f.arg, pos, t + 1, memo)
-    return _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values), ex
+def _f_window(ctx, f, lo, hi, t, memo):
+    return _fold_windows(ctx, f.arg, lo, hi, t, memo, ctx.ops.tconorm)
 
 
-def _until_spans(ctx, f, pos, t, memo):
-    """The right child's values at pos..pos+t, the left child's at
-    pos..pos+t-1, and their joined exactness.
+def _g_window(ctx, f, lo, hi, t, memo):
+    return _fold_windows(ctx, f.arg, lo, hi, t, memo, ctx.ops.tnorm)
 
-    Missing values inside the trace are computed in the order right(pos),
-    left(pos), right(pos+1), ..., so a window whose children fail at
-    different positions raises the error a step-by-step scan meets first.
+
+def _ag_window(ctx, f, lo, hi, t, memo):
+    n = hi - lo
+    values, tags = _span(ctx, f.arg, lo, n + t, memo)
+    weights = ctx.eta.table
+    keep = min(t, len(weights) - 1) + 1
+    interp, tnorm = ctx.interp, ctx.ops.tnorm
+    # the window's (value, position) pairs, ascending: ties go to the earliest
+    # position, so its first `keep` entries are what _select_smallest keeps
+    window = sorted(zip(values[: t + 1], count()))
+    out = []
+    for i in range(n):
+        out.append(_best_drop(interp, tnorm, weights, values[i : i + t + 1], window[:keep], i))
+        if i + 1 < n:
+            del window[bisect_left(window, (values[i], i))]
+            insort(window, (values[i + t + 1], i + t + 1))
+    return out, _window_tags(tags, n, t + 1)
+
+
+def _until_windows(ctx, f, lo, hi, t, memo):
+    """The left child's values at lo .. hi-2+t, the right child's at
+    lo .. hi-1+t, and each window's joined tag.
+
+    Redone one position at a time, the missing values inside the trace are
+    computed in the order right(lo), left(lo), right(lo+1), ..., so a window
+    whose children fail at different positions raises the error a
+    step-by-step scan meets first.
     """
     right, left = f.right, f.left
-    stop = min(pos + t, ctx.trace._length)
-    first = min(_first_missing(right, pos, stop, memo), _first_missing(left, pos, stop, memo))
-    for p in range(first, stop):
-        _eval(ctx, right, p, memo)
-        _eval(ctx, left, p, memo)
-    right_values, rex = _span(ctx, right, pos, t + 1, memo)
-    left_values, lex = _span(ctx, left, pos, t, memo)
-    return left_values, right_values, _combine(rex, lex)
+    n = hi - lo
+    if not memo.runs:
+        for p in range(lo, min(lo + t, ctx.trace._length)):
+            _span(ctx, right, p, 1, memo)
+            _span(ctx, left, p, 1, memo)
+    right_values, rtags = _span(ctx, right, lo, n + t, memo)
+    left_values, ltags = _span(ctx, left, lo, n + t - 1, memo)
+    tags = _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
+    return left_values, right_values, tags
 
 
-def _u_window(ctx, f, pos, t, memo):
+def _u_window(ctx, f, lo, hi, t, memo):
+    left, right, tags = _until_windows(ctx, f, lo, hi, t, memo)
     tnorm = ctx.ops.tnorm
-    left, right, ex = _until_spans(ctx, f, pos, t, memo)
-    best = right[0]
-    for prefix, rv in zip(accumulate(left, tnorm), islice(right, 1, None)):
-        cand = tnorm(prefix, rv)
-        if cand > best:
-            best = cand
-    return best, ex
+    step = _C_BINARY.get(tnorm, tnorm)
+    out = []
+    for i in range(hi - lo):
+        prefix = accumulate(left[i : i + t], step)
+        out.append(max(chain((right[i],), map(step, prefix, right[i + 1 : i + t + 1]))))
+    return out, tags
 
 
-def _au_window(ctx, f, pos, t, memo):
+def _au_window(ctx, f, lo, hi, t, memo):
+    left, right, tags = _until_windows(ctx, f, lo, hi, t, memo)
     tnorm = ctx.ops.tnorm
-    left, right, ex = _until_spans(ctx, f, pos, t, memo)
-    best = right[0]
-    drops = _DropBuffer(tnorm, ctx.eta)
-    for relaxed, rv in zip(map(drops.push, left), islice(right, 1, None)):
-        cand = tnorm(relaxed, rv)
-        if cand > best:
-            best = cand
-    return best, ex
+    step = _C_BINARY.get(tnorm, tnorm)
+    out = []
+    for i in range(hi - lo):
+        relaxed = map(_DropBuffer(tnorm, ctx.eta).push, left[i : i + t])
+        out.append(max(chain((right[i],), map(step, relaxed, right[i + 1 : i + t + 1]))))
+    return out, tags
 
 
-def _h_scale(ctx, f, pos, memo):
+def _h_scale(ctx, f, lo, hi, memo):
     if not 1 <= f.index < ctx.eta.n_eta:
         raise ScaleIndexOutOfRange(
             f"scaling index {f.index} outside 1..{ctx.eta.n_eta - 1}"
         )
-    v, ex = _eval(ctx, f.arg, pos, memo)
-    return scale(v, ctx.eta.lookup(f.index)), ex
+    values, tags = _span(ctx, f.arg, lo, hi - lo, memo)
+    w = ctx.eta.lookup(f.index)
+    return [scale(v, w) for v in values], tags
 
 
 # -- unbounded operators -----------------------------------------------------
@@ -642,9 +796,9 @@ def _unb_almost_until(ctx, f, pos, memo):
     return best
 
 
-#: Unbounded class -> (window, exact lasso limit, the tag of a finite trace's
-#: largest window).  Almost-always is not monotone in the horizon, so its
-#: finite result has no bound direction.
+#: Unbounded class -> (window kernel, exact lasso limit, the tag of a finite
+#: trace's largest window).  Almost-always is not monotone in the horizon,
+#: so its finite result has no bound direction.
 _UNBOUNDED = {
     Eventually: (_f_window, _unb_eventually, _LOWER),
     Always: (_g_window, _unb_always, _UPPER),
@@ -659,14 +813,20 @@ _TEMPORAL = {
 }
 
 
-def _h_temporal(ctx, f, pos, memo):
+def _h_temporal(ctx, f, lo, hi, memo):
     window, limit, tag = _TEMPORAL[type(f)]
     if limit is None:
-        return window(ctx, f, pos, f.bound, memo)
+        return window(ctx, f, lo, hi, f.bound, memo)
     if ctx.trace.is_lasso:
-        return limit(ctx, f, pos, memo), _EXACT
-    v, ex = window(ctx, f, pos, _largest_window(ctx, pos), memo)
-    return v, _combine(ex, tag)
+        return [limit(ctx, f, p, memo) for p in range(lo, hi)], None
+    # each position's largest window on a finite trace, tagged with its bound
+    # direction
+    out, tags = [], []
+    for p in range(lo, hi):
+        (v,), ptags = window(ctx, f, p, p + 1, _largest_window(ctx, p), memo)
+        out.append(v)
+        tags.append(_combine(ptags[0] if ptags else _EXACT, tag))
+    return out, tags
 
 
 _HANDLERS = {
@@ -689,6 +849,27 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _run(ctx: EvalContext, pos: int, read):
+    """``read(memo)`` over a fresh memo, filling columns a run at a time.
+
+    If that raises an FtlError, it is redone one position at a time on the
+    values already computed, so the error raised is the one a position-by-
+    position evaluation meets first.  Redoing the whole read costs at most
+    one more pass; a window that redid only its own failed run would redo
+    its children's failed runs too, doubling the work at every level of
+    nesting.  A RecursionError becomes FormulaTooDeep.
+    """
+    memo = _Columns(ctx.trace, pos)
+    try:
+        try:
+            return read(memo)
+        except FtlError:
+            memo.runs = False
+            return read(memo)
+    except RecursionError:
+        raise FormulaTooDeep("formula nests too deeply to evaluate") from None
+
+
 def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
     """The truth degree of ``f`` along the trace from position ``pos``."""
     if pos < 0:
@@ -702,7 +883,7 @@ def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
         raise PositionOutOfRange(
             f"position {pos} past the end of a {len(trace)}-state finite trace"
         )
-    value, exactness = _eval(ctx, f, pos, _Columns(trace, pos))
+    value, exactness = _run(ctx, pos, lambda memo: _eval(ctx, f, pos, memo))
     return EvalResult(value, exactness)
 
 
@@ -722,8 +903,12 @@ def almost_always_fast(
     """
     if pos < 0:
         raise PositionOutOfRange(f"negative position {pos}")
-    values, _ = _span(ctx, phi, pos, t + 1, _Columns(ctx.trace, pos))
-    return _almost_always_value(ctx.interp, ctx.ops, ctx.eta, values, counter)
+    values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo)[0])
+    keep = min(t, ctx.eta.n_eta - 1) + 1
+    kept = _select_smallest(values, keep, counter)
+    if counter is not None:
+        counter.count += keep  # one candidate per avoidance count
+    return _best_drop(ctx.interp, ctx.ops.tnorm, ctx.eta.table, values, kept)
 
 
 def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDegree:
@@ -733,4 +918,4 @@ def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDeg
     unbounded = _UNBOUNDED.get(type(f))
     if unbounded is None:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    return unbounded[1](ctx, f, pos, _Columns(ctx.trace, pos))
+    return _run(ctx, pos, lambda memo: unbounded[1](ctx, f, pos, memo))

@@ -108,6 +108,14 @@ class TestEval:
         assert main(["eval", "--formula", "p", "--trace", str(bad)]) == 2
         assert "validation error" in capsys.readouterr().err
 
+    def test_degree_too_large_for_a_float_is_a_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"atoms":["p"],"states":[[%d]]}' % 10**400)
+        assert main(["eval", "--formula", "p", "--trace", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: truth degree 1000") and "outside [0, 1]" in err
+        assert "Traceback" not in err
+
     def test_deep_next_is_an_evaluation_error(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         path.write_text('{"atoms":["a"],"states":[[0.5],[1.0]]}')
@@ -212,6 +220,17 @@ class TestRewrite:
         assert rc == 0
         out = capsys.readouterr().out
         assert "difference: 0.000e+00" in out
+
+    def test_verify_of_a_too_deep_lowering_is_an_evaluation_error(self, tmp_path, capsys):
+        # the 300-deep lowered form outnests the evaluator's Python stack
+        day = tmp_path / "day.json"
+        assert main(["gen-demo", "--minutes", "400", "--out", str(day)]) == 0
+        capsys.readouterr()
+        args = ["rewrite", "--formula", "F[300] a", "--target", "adequate", "--interp", "product"]
+        assert main([*args, "--verify", str(day)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: formula nests too deeply")
+        assert "Traceback" not in err
 
 
 class TestCheck:

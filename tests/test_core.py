@@ -35,7 +35,10 @@ def test_degree_accepts_unit_interval():
     assert degree(0.25) == 0.25
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, -1e-9, float("nan"), "x", None])
+@pytest.mark.parametrize(
+    "bad",
+    [-0.1, 1.1, 2.0, -1e-9, float("nan"), "x", None, pytest.param(10**400, id="int-past-float")],
+)
 def test_degree_rejects_outside_unit_interval(bad):
     with pytest.raises(ValidationError):
         degree(bad)
@@ -229,6 +232,11 @@ class TestTraceIngest:
             (((0.5, 2), (None, 0.5)), "truth degree 2.0 outside [0, 1]"),
             (((0.5, 0.5), (None, 2)), "truth degree None is not a number"),
             (((0.5, 0.5), (0.5,)), "state 1 has 1 entries for 2 atoms"),
+            pytest.param(
+                ((0.5, 0.5), (0.5, 10**400), (2.0,)),
+                f"truth degree {10**400} outside [0, 1]",
+                id="int-past-float",
+            ),
         ],
     )
     def test_first_bad_value_in_row_major_order(self, rows, message):

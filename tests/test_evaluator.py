@@ -1,10 +1,12 @@
 import functools
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
-from fuzzytl import algebra
+from fuzzytl import algebra, evaluator
+from fuzzytl.checks import random_formula
 from fuzzytl.core import (
     AlmostAlways,
     AlmostAlwaysB,
@@ -24,6 +26,8 @@ from fuzzytl.core import (
     Until,
 )
 from fuzzytl.errors import (
+    FormulaTooDeep,
+    FtlError,
     HorizonExceedsTrace,
     NotALasso,
     PositionOutOfRange,
@@ -514,3 +518,143 @@ def test_lasso_almost_until_exit_matches_full_scan(interp, case):
         assert _close(interp, got, want), (pos, got, want)
         if case == "crisp":
             assert got == eval_unbounded_lasso(ctx, Until(f, s), pos)
+
+
+def _range_column(ctx, f, n):
+    """The values of ``f`` at positions 0 .. n-1, filled by one range fill."""
+    return evaluator._span(ctx, f, 0, n, evaluator._Columns(ctx.trace, 0))[0]
+
+
+def _golden_trace_rows(rng, n):
+    """Off-grid degrees with ties, 0.0, -0.0 and 1.0."""
+    rows = [[rng.random(), rng.random()] for _ in range(n)]
+    for _ in range(n):
+        rows[rng.randrange(n)][rng.randrange(2)] = rows[rng.randrange(n)][rng.randrange(2)]  # ties
+    for v in (0.0, -0.0, 1.0, -0.0, 0.0, 1.0):
+        rows[rng.randrange(n)][rng.randrange(2)] = v
+    return tuple(map(tuple, rows))
+
+
+def golden_outcomes(n_formulas=150, n=9, seed=8):
+    """One line per evaluation: the value's hex and exactness, or the
+    error's type and message."""
+    rng = random.Random(seed)
+    rows = _golden_trace_rows(rng, n)
+    traces = (Trace(("p", "q"), rows), Trace(("p", "q"), rows, loop_start=n // 3))
+    eta = AvoidingFunction((1.0, 0.6180339887, 0.25))
+    lines = []
+    for _ in range(n_formulas):
+        f = random_formula(rng, ("p", "q"), depth=4, max_bound=4, n_eta=4)
+        for trace in traces:
+            for interp in (Z, G, L, P):
+                for policy in FinitePolicy:
+                    ctx = ctx_for(trace, interp, eta, policy)
+                    for pos in range(n + 2):
+                        try:
+                            r = evaluate(ctx, f, pos)
+                            lines.append(f"{r.value.hex()} {r.exactness.value}")
+                        except FtlError as exc:
+                            lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+#: sha256 of ``golden_outcomes()``, taken when every window was evaluated one
+#: position at a time.
+GOLDEN_DIGEST = "a3b54e9a70c131a2591824989fb5191990a470c6e6a28f39e739895fea47d88b"
+
+
+class TestRangeFills:
+    """Filling a column a run at a time gives the values, exactness tags and
+    first errors of evaluating it one position at a time."""
+
+    def test_golden_outcomes(self):
+        lines = golden_outcomes()
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DIGEST
+
+    PQ = Trace(("p", "q"), tuple((i / 10, 1 - i / 10) for i in range(10)))
+
+    @pytest.mark.parametrize(
+        "text, outcomes",
+        [
+            ("G[3] ((X[7] p) U[6] p)", [10, 10, 10, 10, 11, 12, 13, 14, 15, 16]),
+            (
+                "G[5] ((X[1] p) && (X[3] q))",
+                [0.1, 0.09999999999999998, 10, 10, 10, 10, 10, 10, 11, 10],
+            ),
+            ("F[2] ((X[4] p) AU[3] q)", [1.0, 0.9, 10, 10, 10, 10, 10, 11, 12, 13]),
+        ],
+    )
+    def test_strict_policy_names_the_first_position_a_step_by_step_read_leaves(
+        self, text, outcomes
+    ):
+        ctx = ctx_for(self.PQ, eta=AvoidingFunction((1.0, 0.5)))
+        f = parse(text)
+        for pos, want in enumerate(outcomes):
+            if isinstance(want, float):
+                assert evaluate(ctx, f, pos).value == want
+            else:
+                with pytest.raises(HorizonExceedsTrace, match=f"^position {want} leaves"):
+                    evaluate(ctx, f, pos)
+
+    @pytest.mark.parametrize("interp", [Z, G])
+    @pytest.mark.parametrize("outer, inner", [("G", "F"), ("F", "G")])
+    def test_nested_windows_keep_the_first_of_equal_zeros(self, interp, outer, inner):
+        rng = random.Random(5)
+        column = [rng.choice((0.0, -0.0, 0.0, -0.0, 0.5)) for _ in range(40)]
+        trace = Trace(("p",), tuple((v,) for v in column))
+        ctx = ctx_for(trace, interp, policy=FinitePolicy.PAD_ZERO)
+        folds = {"F": algebra._maximum, "G": algebra._minimum}
+        padded = column + [0.0] * 20
+        for t, k in ((3, 2), (6, 9)):
+            inner_want = [functools.reduce(folds[inner], padded[q : q + k + 1]) for q in range(50)]
+            inner_got = _range_column(ctx, parse(f"{inner}[{k}] p"), 50)
+            assert [v.hex() for v in inner_got] == [v.hex() for v in inner_want]
+            f = parse(f"{outer}[{t}] {inner}[{k}] p")
+            for pos in range(len(column) + 1):
+                want = functools.reduce(folds[outer], inner_want[pos : pos + t + 1])
+                assert evaluate(ctx, f, pos).value.hex() == want.hex()
+
+    def test_lukasiewicz_always_from_negative_zero_folds_like_reduce(self):
+        column = (-0.0, 0.75, -0.0, -0.0, 1.0, 0.5, -0.0, 1.0, 1.0, 0.25, -0.0)
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in column)), L)
+        for t in range(4):
+            f = AlwaysB(t, Atom("p"))
+            want = [
+                functools.reduce(algebra._luk_tnorm, column[pos : pos + t + 1])
+                for pos in range(len(column) - t)
+            ]
+            assert [v.hex() for v in _range_column(ctx, f, len(want))] == [v.hex() for v in want]
+            assert [evaluate(ctx, f, pos).value.hex() for pos in range(len(want))] == [
+                v.hex() for v in want
+            ]
+
+    @pytest.mark.parametrize("interp", [Z, G, L, P])
+    def test_bounded_almost_always_with_ties_matches_enumeration(self, interp):
+        rng = random.Random(13)
+        column = [rng.choice((0.0, -0.0, 0.25, 0.5, 0.875, 1.0)) for _ in range(24)]
+        ctx = ctx_for(Trace(("p",), tuple((v,) for v in column)), interp)
+        for t in (0, 1, 3, 6):
+            f = AlmostAlwaysB(t, Atom("p"))
+            n = len(column) - t
+            want = [oracle_almost_always(ctx, Atom("p"), pos, t) for pos in range(n)]
+            assert _range_column(ctx, f, n) == want
+            assert [evaluate(ctx, f, pos).value for pos in range(n)] == want
+
+
+class TestFormulaTooDeep:
+    """A formula nested past Python's stack ends in a typed error."""
+
+    DEEP = functools.reduce(lambda f, _: Not(f), range(5000), Atom("p"))
+
+    def test_evaluate(self):
+        with pytest.raises(FormulaTooDeep):
+            evaluate(ctx_for(WORKED), self.DEEP)
+
+    def test_almost_always_fast(self):
+        with pytest.raises(FormulaTooDeep):
+            almost_always_fast(ctx_for(WORKED), self.DEEP, 0, 2)
+
+    def test_eval_unbounded_lasso(self):
+        lasso = Trace(("p",), ((0.9,), (0.5,)), loop_start=0)
+        with pytest.raises(FormulaTooDeep):
+            eval_unbounded_lasso(ctx_for(lasso), Eventually(self.DEEP), 0)

@@ -55,7 +55,7 @@ from .evaluator import (
     evaluate,
 )
 from .oracle import ltl_evaluate, oracle_almost_always, oracle_almost_until, oracle_limit
-from .parser import format_formula
+from .parser import format_formula, parse
 from .rewrite import _nexts, in_adequate_set, lower_to_adequate, rewrite_once, rule_set
 
 TOL = 1e-12
@@ -470,7 +470,8 @@ def run_oracle_suite(seed: int, cases: int) -> SuiteReport:
     return report
 
 
-_UNBOUNDED_HEADS = ("F", "G", "AG", "U", "AU")
+#: The unbounded rows whose lasso limits the suite checks: F, G, AG, U, AU.
+_LASSO = [spec for spec in OPERATORS.values() if spec.unbounded]
 
 
 def _lasso_child(rng: random.Random) -> Formula:
@@ -489,17 +490,10 @@ def run_lasso_suite(seed: int, cases: int) -> SuiteReport:
         phi = _lasso_child(rng)
         psi = _lasso_child(rng)
         pos = rng.randrange(len(trace) + 2)
-        heads = {
-            "F": Eventually(phi),
-            "G": Always(phi),
-            "AG": AlmostAlways(phi),
-            "U": Until(phi, psi),
-            "AU": AlmostUntil(phi, psi),
-        }
+        heads = [(spec.keyword, spec.cls(*(phi, psi)[: len(spec.children)])) for spec in _LASSO]
         for interp in ALL_INTERPS:
             ctx = EvalContext(trace, interp, eta)
-            for head in _UNBOUNDED_HEADS:
-                f = heads[head]
+            for head, f in heads:
                 exact = eval_unbounded_lasso(ctx, f, pos)
                 bracket = oracle_limit(ctx, f, pos, 1e-7)
                 report.check(
@@ -674,8 +668,6 @@ def run_rewrite_suite(seed: int, cases_per_rule: int) -> SuiteReport:
                     ),
                 )
 
-    from .parser import parse
-
     for interp in (Interpretation.ZADEH, Interpretation.GODEL):
         for text in LOWERING_CORPUS:
             f = parse(text)
@@ -703,11 +695,9 @@ def run_rewrite_suite(seed: int, cases_per_rule: int) -> SuiteReport:
                 )
 
     # the product logic's almost-always expansion outgrows any modest budget
-    from .parser import parse as _parse
-
     eta3 = AvoidingFunction((1.0, 0.5, 0.3))
     try:
-        lower_to_adequate(_parse("AG[4] p"), Interpretation.PRODUCT, budget=10_000, eta=eta3)
+        lower_to_adequate(parse("AG[4] p"), Interpretation.PRODUCT, budget=10_000, eta=eta3)
         report.check("lowering-product-blowup", False, lambda: "no budget exhaustion")
     except BudgetExceeded:
         report.check("lowering-product-blowup", True)

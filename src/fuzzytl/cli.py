@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 formula syntax error, 2 trace or eta validation,
-3 evaluation error (a formula nested too deep to evaluate included),
+3 evaluation error (a formula nested too deep to parse or evaluate included),
 4 rewrite budget exhausted (or no rule applies), 5 law-suite failure.
 """
 
@@ -14,6 +14,7 @@ import sys
 from .core import Interpretation
 from .errors import (
     BudgetExceeded,
+    FormulaTooDeep,
     FtlError,
     NotLowerable,
     ParseError,
@@ -121,6 +122,9 @@ def _parse_formula(text: str) -> tuple[int, object]:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return _EXIT_PARSE, None
+    except FormulaTooDeep as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return _EXIT_EVAL, None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -595,21 +595,15 @@ def _h_lasts(ctx, f, lo, hi, memo):
     return out, _window_tags(tags, n, t + 1)
 
 
-def _fold_windows(ctx, arg, lo, hi, t, memo, op):
+def _fold_window(ctx, f, lo, hi, t, memo, unit):
+    """F[t] (unit 0.0, the t-conorm) or G[t] (unit 1.0, the t-norm)."""
     n = hi - lo
-    values, tags = _span(ctx, arg, lo, n + t, memo)
+    values, tags = _span(ctx, f.arg, lo, n + t, memo)
+    op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     return _slide(op, values, n, t + 1), _window_tags(tags, n, t + 1)
 
 
-def _f_window(ctx, f, lo, hi, t, memo):
-    return _fold_windows(ctx, f.arg, lo, hi, t, memo, ctx.ops.tconorm)
-
-
-def _g_window(ctx, f, lo, hi, t, memo):
-    return _fold_windows(ctx, f.arg, lo, hi, t, memo, ctx.ops.tnorm)
-
-
-def _ag_window(ctx, f, lo, hi, t, memo):
+def _ag_window(ctx, f, lo, hi, t, memo, _):
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     weights = ctx.eta.table
@@ -627,9 +621,23 @@ def _ag_window(ctx, f, lo, hi, t, memo):
     return out, _window_tags(tags, n, t + 1)
 
 
-def _until_windows(ctx, f, lo, hi, t, memo):
-    """The left child's values at lo .. hi-2+t, the right child's at
-    lo .. hi-1+t, and each window's joined tag.
+def _prefix_fold(ctx):
+    """U's hold: the running fold of the prefix under the t-norm step."""
+    return accumulate, 0
+
+
+def _relaxed_fold(ctx):
+    """AU's hold: the almost-always value of each prefix.  Once it holds
+    n_eta values the j range is fixed, so a further value can only lower
+    every retained fold."""
+    tnorm, eta = ctx.ops.tnorm, ctx.eta
+    return (lambda values, _: map(_DropBuffer(tnorm, eta).push, values)), eta.n_eta
+
+
+def _until_window(ctx, f, lo, hi, t, memo, hold):
+    """U[t] or AU[t].  ``hold(ctx)`` gives (fold, min_k): fold(values, step)
+    maps a window's left values to the held fold of each prefix, which never
+    increases from the min_k-th prefix on; step is the t-norm.
 
     Redone one position at a time, the missing values inside the trace are
     computed in the order right(lo), left(lo), right(lo+1), ..., so a window
@@ -642,32 +650,14 @@ def _until_windows(ctx, f, lo, hi, t, memo):
         for p in range(lo, min(lo + t, ctx.trace._length)):
             _span(ctx, right, p, 1, memo)
             _span(ctx, left, p, 1, memo)
-    right_values, rtags = _span(ctx, right, lo, n + t, memo)
-    left_values, ltags = _span(ctx, left, lo, n + t - 1, memo)
-    tags = _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
-    return left_values, right_values, tags
-
-
-def _u_window(ctx, f, lo, hi, t, memo):
-    left, right, tags = _until_windows(ctx, f, lo, hi, t, memo)
-    tnorm = ctx.ops.tnorm
-    step = _C_BINARY.get(tnorm, tnorm)
-    out = []
-    for i in range(hi - lo):
-        prefix = accumulate(left[i : i + t], step)
-        out.append(max(chain((right[i],), map(step, prefix, right[i + 1 : i + t + 1]))))
-    return out, tags
-
-
-def _au_window(ctx, f, lo, hi, t, memo):
-    left, right, tags = _until_windows(ctx, f, lo, hi, t, memo)
-    tnorm = ctx.ops.tnorm
-    step = _C_BINARY.get(tnorm, tnorm)
-    out = []
-    for i in range(hi - lo):
-        relaxed = map(_DropBuffer(tnorm, ctx.eta).push, left[i : i + t])
-        out.append(max(chain((right[i],), map(step, relaxed, right[i + 1 : i + t + 1]))))
-    return out, tags
+    right, rtags = _span(ctx, right, lo, n + t, memo)
+    left, ltags = _span(ctx, left, lo, n + t - 1, memo)
+    fold, step = hold(ctx)[0], ctx._binary[And]  # the t-norm, C-level where the bits match
+    out = [
+        max(chain((right[i],), map(step, fold(left[i : i + t], step), right[i + 1 : i + t + 1])))
+        for i in range(n)
+    ]
+    return out, _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
 
 
 def _h_scale(ctx, f, lo, hi, memo):
@@ -697,25 +687,20 @@ def _suffix_values(ctx, arg, pos, memo):
     return prefix, loop
 
 
-def _unb_always(ctx, f, pos, memo):
+def _unb_fold(ctx, f, pos, memo, unit):
+    """Lasso F (unit 0.0) or G (unit 1.0)."""
     prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
+    op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.interp in _IDEMPOTENT:
-        return min(prefix + loop)
-    if all(v == 1.0 for v in loop):
-        return _fold(ctx.ops.tnorm, prefix) if prefix else 1.0
-    return 0.0  # any loop value below 1 recurs forever and drives the product to 0
+        return _fold(op, prefix + loop)
+    if all(v == unit for v in loop):
+        return _fold(op, prefix) if prefix else unit
+    # any other loop value recurs forever and drives the fold to the absorbing
+    # element: 0 for the t-norm, 1 for the t-conorm
+    return 1.0 - unit
 
 
-def _unb_eventually(ctx, f, pos, memo):
-    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
-    if ctx.interp in _IDEMPOTENT:
-        return max(prefix + loop)
-    if all(v == 0.0 for v in loop):
-        return _fold(ctx.ops.tconorm, prefix) if prefix else 0.0
-    return 1.0  # a positive loop value recurs forever and saturates the sum
-
-
-def _unb_almost_always(ctx, f, pos, memo):
+def _unb_almost_always(ctx, f, pos, memo, _):
     prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
     eta = ctx.eta
     best = None
@@ -747,83 +732,56 @@ def _unb_almost_always(ctx, f, pos, memo):
     return 0.0
 
 
-def _loop_shape(ctx, pos):
+def _unb_until(ctx, f, pos, memo, hold):
+    # from the min_k-th prefix on the held fold never increases, so every
+    # candidate one full loop later is dominated; scanning the pre-loop
+    # stretch (at least min_k values) plus one period reaches the exact limit
+    left, right = f.left, f.right
+    fold, min_k = hold(ctx)
+    step = ctx._binary[And]
     trace = ctx.trace
     start = trace.resolve(pos)
-    rel_prefix = max(0, trace.loop_start - start)
-    return start, rel_prefix, trace.loop_length
-
-
-def _unb_until(ctx, f, pos, memo):
-    # the running prefix product never increases, so every candidate one full
-    # loop later is dominated; scanning the pre-loop stretch plus one period
-    # reaches the exact limit
-    left, right = f.left, f.right
-    tnorm = ctx.ops.tnorm
-    start, rel_prefix, span = _loop_shape(ctx, pos)
     best = _eval(ctx, right, start, memo)[0]
-    prefix_prod = None
-    for k in range(1, rel_prefix + span + 1):
-        pv = _eval(ctx, left, start + k - 1, memo)[0]
-        prefix_prod = pv if prefix_prod is None else tnorm(prefix_prod, pv)
-        if prefix_prod <= best:
-            break  # no later candidate can beat the product that caps it
-        rv = _eval(ctx, right, start + k, memo)[0]
-        cand = tnorm(prefix_prod, rv)
-        if cand > best:
-            best = cand
-    return best
-
-
-def _unb_almost_until(ctx, f, pos, memo):
-    # the same dominance argument: once the window holds n_eta values the j
-    # range is fixed and a further value can only lower every retained fold,
-    # so the relaxed product never increases and one extra period suffices
-    left, right = f.left, f.right
-    tnorm = ctx.ops.tnorm
-    n_eta = ctx.eta.n_eta
-    start, rel_prefix, span = _loop_shape(ctx, pos)
-    best = _eval(ctx, right, start, memo)[0]
-    drops = _DropBuffer(tnorm, ctx.eta)
-    for k in range(1, max(rel_prefix, n_eta) + span + 1):
-        relaxed = drops.push(_eval(ctx, left, start + k - 1, memo)[0])
-        if k >= n_eta and relaxed <= best:
-            break  # no later candidate can beat the relaxed product that caps it
-        rv = _eval(ctx, right, start + k, memo)[0]
-        cand = tnorm(relaxed, rv)
+    held = fold((_eval(ctx, left, p, memo)[0] for p in count(start)), step)
+    for k, h in zip(range(1, max(trace.loop_start - start, min_k) + trace.loop_length + 1), held):
+        if k >= min_k and h <= best:
+            break  # no later candidate can beat the held fold that caps it
+        cand = step(h, _eval(ctx, right, start + k, memo)[0])
         if cand > best:
             best = cand
     return best
 
 
 #: Unbounded class -> (window kernel, exact lasso limit, the tag of a finite
-#: trace's largest window).  Almost-always is not monotone in the horizon,
-#: so its finite result has no bound direction.
+#: trace's largest window, the argument both kernels take).  A twin family
+#: shares its kernels and differs in the argument: F and G in the unit of
+#: their fold, U and AU in the hold that folds the prefix.  Almost-always is
+#: not monotone in the horizon, so its finite result has no bound direction.
 _UNBOUNDED = {
-    Eventually: (_f_window, _unb_eventually, _LOWER),
-    Always: (_g_window, _unb_always, _UPPER),
-    AlmostAlways: (_ag_window, _unb_almost_always, _APPROX),
-    Until: (_u_window, _unb_until, _LOWER),
-    AlmostUntil: (_au_window, _unb_almost_until, _LOWER),
+    Eventually: (_fold_window, _unb_fold, _LOWER, 0.0),
+    Always: (_fold_window, _unb_fold, _UPPER, 1.0),
+    AlmostAlways: (_ag_window, _unb_almost_always, _APPROX, None),
+    Until: (_until_window, _unb_until, _LOWER, _prefix_fold),
+    AlmostUntil: (_until_window, _unb_until, _LOWER, _relaxed_fold),
 }
 #: Every F/G/AG/U/AU class -> its row above; a bounded class has no limit.
 _TEMPORAL = {
     **_UNBOUNDED,
-    **{OPERATORS[cls].twin: (window, None, None) for cls, (window, _, _) in _UNBOUNDED.items()},
+    **{OPERATORS[cls].twin: (row[0], None, None, row[3]) for cls, row in _UNBOUNDED.items()},
 }
 
 
 def _h_temporal(ctx, f, lo, hi, memo):
-    window, limit, tag = _TEMPORAL[type(f)]
+    window, limit, tag, arg = _TEMPORAL[type(f)]
     if limit is None:
-        return window(ctx, f, lo, hi, f.bound, memo)
+        return window(ctx, f, lo, hi, f.bound, memo, arg)
     if ctx.trace.is_lasso:
-        return [limit(ctx, f, p, memo) for p in range(lo, hi)], None
+        return [limit(ctx, f, p, memo, arg) for p in range(lo, hi)], None
     # each position's largest window on a finite trace, tagged with its bound
     # direction
     out, tags = [], []
     for p in range(lo, hi):
-        (v,), ptags = window(ctx, f, p, p + 1, _largest_window(ctx, p), memo)
+        (v,), ptags = window(ctx, f, p, p + 1, _largest_window(ctx, p), memo, arg)
         out.append(v)
         tags.append(_combine(ptags[0] if ptags else _EXACT, tag))
     return out, tags
@@ -915,7 +873,8 @@ def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDeg
     """Exact limit of an unbounded-headed formula on a lasso trace."""
     if not ctx.trace.is_lasso:
         raise NotALasso("unbounded limits need a lasso trace")
-    unbounded = _UNBOUNDED.get(type(f))
-    if unbounded is None:
+    row = _UNBOUNDED.get(type(f))
+    if row is None:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    return _run(ctx, pos, lambda memo: unbounded[1](ctx, f, pos, memo))
+    _, limit, _, arg = row
+    return _run(ctx, pos, lambda memo: limit(ctx, f, pos, memo, arg))

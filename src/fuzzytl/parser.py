@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .core import OPERATORS, Atom, Bound, Formula, Level, OpSpec, children
-from .errors import ParseError, ValidationError
+from .errors import FormulaTooDeep, ParseError, ValidationError
 
 BOUND_CEILING = 10**6
 
@@ -124,15 +124,15 @@ class _Parser:
                 f"expected a bound, found {tok.text or 'end of input'!r}", {"<number>"}
             )
         self.advance()
-        value = int(tok.text)
-        if value > BOUND_CEILING:
+        digits = tok.text.lstrip("0") or "0"  # int() refuses strings past 4300 digits
+        if len(digits) > len(str(BOUND_CEILING)) or int(digits) > BOUND_CEILING:
             raise ParseError(
-                f"bound {value} exceeds the ceiling {BOUND_CEILING}",
+                f"bound {digits} exceeds the ceiling {BOUND_CEILING}",
                 (tok.start, tok.end),
                 frozenset({"<number>"}),
             )
         self.expect_sym("]")
-        return value
+        return int(digits)
 
     def optional_bound(self) -> int | None:
         tok = self.peek()
@@ -189,9 +189,16 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a formula tree."""
+    """Parse concrete syntax into a formula tree.
+
+    The parser recurses once per nesting level, so text nested past Python's
+    stack limit raises FormulaTooDeep.
+    """
     p = _Parser(text)
-    f = p.binary(Level.IMPLIES)
+    try:
+        f = p.binary(Level.IMPLIES)
+    except RecursionError:
+        raise FormulaTooDeep("formula nests too deeply to parse") from None
     tok = p.peek()
     if tok.kind != "eof":
         raise p.fail(f"trailing input {tok.text!r}", {"end of input"})

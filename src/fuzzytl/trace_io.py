@@ -11,7 +11,7 @@ from typing import Optional
 
 from .core import AvoidingFunction, Trace
 from .errors import ValidationError
-from .parser import KEYWORDS
+from .parser import BOUND_CEILING, KEYWORDS
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -138,9 +138,13 @@ def parse_eta_spec(spec: str) -> AvoidingFunction:
         return AvoidingFunction(values)
     if spec.startswith("gauss:"):
         body = spec[len("gauss:"):]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ValidationError(f"bad gaussian width {body!r}")
-        return AvoidingFunction.gaussian(int(body))
+        # checked before the K+1-entry table is built, as the parser checks bounds
+        digits = body.lstrip("0") or "0"
+        if len(digits) > len(str(BOUND_CEILING)) or int(digits) > BOUND_CEILING:
+            raise ValidationError(f"gaussian width {digits} exceeds the ceiling {BOUND_CEILING}")
+        return AvoidingFunction.gaussian(int(digits))
     raise ValidationError(
         f"unknown eta spec {spec!r}; use 'table:v0,v1,...', 'gauss:K', or 'crisp'"
     )

@@ -124,6 +124,18 @@ class TestEval:
         assert err.startswith("evaluation error: position 100000")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text", ["!" * 1500 + "p", "(" * 1200 + "p" + ")" * 1200], ids=["not", "parens"]
+    )
+    def test_too_deep_to_parse_is_an_evaluation_error(self, table3, capsys, text):
+        assert main(["eval", "--formula", text, "--trace", table3]) == 3
+        assert capsys.readouterr().err == "evaluation error: formula nests too deeply to parse\n"
+
+    def test_gaussian_width_past_the_ceiling_is_a_validation_error(self, table3, capsys):
+        assert main(["eval", "--formula", "p", "--trace", table3, "--eta", "gauss:1000001"]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: gaussian width 1000001 exceeds the ceiling 1000000\n"
+
     def test_pad_zero_policy(self, table3, capsys):
         rc = main(
             ["eval", "--formula", "X[9] p", "--trace", table3, "--finite-policy", "pad-zero"]

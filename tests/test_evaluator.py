@@ -641,6 +641,55 @@ class TestRangeFills:
             assert [evaluate(ctx, f, pos).value for pos in range(n)] == want
 
 
+#: F/G/AG/U/AU, bounded and unbounded, alone and nested under G[t] and F[t].
+#: In ``p U p`` each held fold ties a candidate, so the scan's exit rule
+#: decides whether the Lukasiewicz rounding of a later candidate can win.
+_KERNEL_HEADS = (
+    "F p", "G p", "AG q", "p U q", "p U p", "p AU q", "!q AU (p & F q)",
+    "F[2] q", "G[3] p", "AG[4] p", "p U[3] q", "q AU[5] p", "(G[1] q) U[2] (F p)",
+)
+KERNEL_FORMULAS = _KERNEL_HEADS + tuple(
+    f"{outer} ({head})" for outer in ("G[2]", "F[3]") for head in _KERNEL_HEADS
+)
+
+
+def kernel_outcomes(n=7, seed=21):
+    """One line per evaluation of KERNEL_FORMULAS: the value's hex and
+    exactness, or the error's type and message.
+
+    The traces are finite (every largest-window tag) and lassos looping at 0
+    and mid-trace; n_eta is 1, 3 and 13, below and above prefix + loop.
+    """
+    rows = _golden_trace_rows(random.Random(seed), n)
+    traces = [Trace(("p", "q"), rows, loop) for loop in (None, 0, n // 2)]
+    etas = (AvoidingFunction.crisp(), ETA_3, AvoidingFunction.gaussian(12))
+    formulas = [parse(text) for text in KERNEL_FORMULAS]
+    lines = []
+    for trace in traces:
+        policies = list(FinitePolicy) if trace.loop_start is None else [FinitePolicy.STRICT]
+        for eta in etas:
+            for f in formulas:
+                for interp in (Z, G, L, P):
+                    for policy in policies:
+                        ctx = ctx_for(trace, interp, eta, policy)
+                        for pos in range(n + 2):
+                            try:
+                                r = evaluate(ctx, f, pos)
+                                lines.append(f"{r.value.hex()} {r.exactness.value}")
+                            except FtlError as exc:
+                                lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+#: sha256 of ``kernel_outcomes()``, taken when each twin had its own kernels.
+KERNEL_DIGEST = "6a504b07985f965616a714a531826794b5042e75c254aeb7b650cfea3c2f9c9e"
+
+
+def test_twin_kernels_golden_outcomes():
+    lines = kernel_outcomes()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
+
+
 class TestFormulaTooDeep:
     """A formula nested past Python's stack ends in a typed error."""
 

@@ -29,7 +29,7 @@ from fuzzytl.core import (
     WeakOr,
     Within,
 )
-from fuzzytl.errors import ParseError, ValidationError
+from fuzzytl.errors import FormulaTooDeep, ParseError, ValidationError
 from fuzzytl.parser import format_formula, parse
 
 
@@ -83,8 +83,20 @@ def test_keywords_are_not_atoms():
 
 def test_bound_ceiling():
     parse("F[1000000] p")
+    assert parse("F[0000003] p") == parse("F[3] p")
     with pytest.raises(ParseError):
         parse("F[1000001] p")
+    # past 4300 digits int() itself refuses the string
+    with pytest.raises(ParseError, match="exceeds the ceiling"):
+        parse("F[" + "9" * 5000 + "] p")
+
+
+@pytest.mark.parametrize(
+    "text", ["!" * 1000 + "p", "(" * 300 + "p" + ")" * 300], ids=["not", "parens"]
+)
+def test_text_nested_past_the_stack_is_a_typed_error(text):
+    with pytest.raises(FormulaTooDeep, match="^formula nests too deeply to parse$"):
+        parse(text)
 
 
 def test_mandatory_bounds():

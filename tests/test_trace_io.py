@@ -6,7 +6,7 @@ import pytest
 from fuzzytl.core import AvoidingFunction, Interpretation, Trace
 from fuzzytl.errors import ValidationError
 from fuzzytl.evaluator import EvalContext, evaluate
-from fuzzytl.parser import parse
+from fuzzytl.parser import BOUND_CEILING, parse
 from fuzzytl.trace_io import (
     load_trace,
     parse_eta_spec,
@@ -238,7 +238,24 @@ class TestEtaSpecs:
         assert all(eta.table[i] < eta.table[i - 1] for i in range(1, 21))
         assert eta.lookup(21) == 0.0
 
-    @pytest.mark.parametrize("bad", ["", "tabel:1", "table:", "table:1,x", "gauss:", "gauss:x", "table:0.9,0.5"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "tabel:1", "table:", "table:1,x", "gauss:", "gauss:x", "table:0.9,0.5"]
+        + ["gauss:\u00b2"],  # a digit int() refuses
+    )
     def test_bad_specs(self, bad):
         with pytest.raises(ValidationError):
             parse_eta_spec(bad)
+
+    @pytest.mark.parametrize(
+        "width", [str(BOUND_CEILING + 1), "9" * 5000], ids=["ceiling+1", "5000-digits"]
+    )
+    def test_gauss_width_past_the_ceiling_fails_before_any_table(self, monkeypatch, width):
+        built = []
+        record = classmethod(lambda cls, w: built.append(w))
+        monkeypatch.setattr(AvoidingFunction, "gaussian", record)
+        with pytest.raises(ValidationError, match="exceeds the ceiling"):
+            parse_eta_spec("gauss:" + width)
+        assert built == []
+        parse_eta_spec(f"gauss:00{BOUND_CEILING}")
+        assert built == [BOUND_CEILING]

@@ -1,8 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 formula syntax error, 2 trace or eta validation,
-3 evaluation error (a formula nested too deep to parse or evaluate included),
-4 rewrite budget exhausted (or no rule applies), 5 law-suite failure.
+Subcommands raise their errors; ``main`` alone prints one stderr line
+``<kind>: <message>`` and exits with the kind's code, read from ``_FAILURES``:
+1 syntax error, 2 validation error (a trace, eta spec or demo length), 4 not
+lowerable, 3 evaluation error (any other FtlError, a formula nested too deep
+to parse or evaluate included).  ``budget exceeded; partial form: ...`` exits
+4 and a law-suite failure 5; rewrite's bad ``--target`` and gen-demo's
+``cannot write`` print their own line and exit 2.
 """
 
 from __future__ import annotations
@@ -11,15 +15,8 @@ import argparse
 import json
 import sys
 
-from .core import Interpretation
-from .errors import (
-    BudgetExceeded,
-    FormulaTooDeep,
-    FtlError,
-    NotLowerable,
-    ParseError,
-    ValidationError,
-)
+from .core import Interpretation, Trace
+from .errors import BudgetExceeded, FtlError, NotLowerable, ParseError, ValidationError
 from .evaluator import EvalContext, FinitePolicy, evaluate
 from .parser import format_formula, parse
 from .trace_io import load_trace, parse_eta_spec, save_trace
@@ -116,34 +113,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_formula(text: str) -> tuple[int, object]:
+def _load_trace(path: str) -> Trace:
+    """The trace at ``path``; an unreadable file is a ValidationError."""
     try:
-        return _EXIT_OK, parse(text)
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE, None
-    except FormulaTooDeep as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return _EXIT_EVAL, None
+        return load_trace(path)
+    except OSError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    status, formula = _parse_formula(args.formula)
-    if status:
-        return status
-    try:
-        trace = load_trace(args.trace)
-        eta = parse_eta_spec(args.eta)
-    except (ValidationError, OSError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+    formula = parse(args.formula)
+    trace = _load_trace(args.trace)
+    eta = parse_eta_spec(args.eta)
     policy = FinitePolicy.STRICT if args.finite_policy == "strict" else FinitePolicy.PAD_ZERO
     ctx = EvalContext(trace, _INTERPS[args.interp], eta, policy)
-    try:
-        result = evaluate(ctx, formula, args.at)
-    except FtlError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return _EXIT_EVAL
+    result = evaluate(ctx, formula, args.at)
     if args.output == "json":
         print(
             '{"value": %.17g, "exactness": %s, "formula": %s, "position": %d}'
@@ -162,25 +146,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_rewrite(args: argparse.Namespace) -> int:
     from .rewrite import lower_to_adequate, rewrite_once, rule_set
 
-    status, formula = _parse_formula(args.formula)
-    if status:
-        return status
+    formula = parse(args.formula)
     interp = _INTERPS[args.interp]
-    try:
-        eta = parse_eta_spec(args.eta)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+    eta = parse_eta_spec(args.eta)
 
     if args.target == "adequate":
-        try:
-            rewritten = lower_to_adequate(formula, interp, args.budget, eta)
-        except BudgetExceeded as exc:
-            print(f"budget exceeded; partial form: {format_formula(exc.partial)}", file=sys.stderr)
-            return _EXIT_BUDGET
-        except NotLowerable as exc:
-            print(f"not lowerable: {exc}", file=sys.stderr)
-            return _EXIT_BUDGET
+        rewritten = lower_to_adequate(formula, interp, args.budget, eta)
     elif args.target.startswith("rule:"):
         name = args.target[len("rule:"):]
         rules = rule_set(eta)
@@ -199,18 +170,9 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 
     print(format_formula(rewritten))
     if args.verify:
-        try:
-            trace = load_trace(args.verify)
-        except (ValidationError, OSError) as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return _EXIT_VALIDATION
-        ctx = EvalContext(trace, interp, eta, FinitePolicy.PAD_ZERO)
-        try:
-            before = evaluate(ctx, formula, args.at).value
-            after = evaluate(ctx, rewritten, args.at).value
-        except FtlError as exc:
-            print(f"evaluation error: {exc}", file=sys.stderr)
-            return _EXIT_EVAL
+        ctx = EvalContext(_load_trace(args.verify), interp, eta, FinitePolicy.PAD_ZERO)
+        before = evaluate(ctx, formula, args.at).value
+        after = evaluate(ctx, rewritten, args.at).value
         print(f"before: {before!r}")
         print(f"after:  {after!r}")
         print(f"difference: {abs(before - after):.3e}")
@@ -237,11 +199,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_gen_demo(args: argparse.Namespace) -> int:
     from .demo import generate_day
 
-    try:
-        trace = generate_day(args.minutes, args.seed)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+    trace = generate_day(args.minutes, args.seed)
     try:
         save_trace(trace, args.out)
     except OSError as exc:
@@ -259,9 +217,27 @@ _COMMANDS = {
 }
 
 
+#: Error class -> (stderr prefix, exit code); the first class the error is an
+#: instance of wins, so a subclass row comes before FtlError's.
+_FAILURES = (
+    (ParseError, "syntax error", _EXIT_PARSE),
+    (ValidationError, "validation error", _EXIT_VALIDATION),
+    (NotLowerable, "not lowerable", _EXIT_BUDGET),
+    (FtlError, "evaluation error", _EXIT_EVAL),
+)
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded; partial form: {format_formula(exc.partial)}", file=sys.stderr)
+        return _EXIT_BUDGET
+    except FtlError as exc:
+        prefix, code = next((p, c) for cls, p, c in _FAILURES if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -180,22 +180,6 @@ class ComparisonCounter:
 # ---------------------------------------------------------------------------
 
 
-def _insert_sorted(kept: list, entry) -> int:
-    """Binary-search ``entry`` into the ascending list ``kept``, after any
-    equal entries; returns the number of comparisons made."""
-    lo, hi = 0, len(kept)
-    n_cmp = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        n_cmp += 1
-        if entry < kept[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    kept.insert(lo, entry)
-    return n_cmp
-
-
 def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
     """The ``keep`` smallest (value, position) pairs, ascending.
 
@@ -211,7 +195,15 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
             n_cmp += 1
             if entry >= kept[-1]:
                 continue
-        n_cmp += _insert_sorted(kept, entry)
+        lo, hi = 0, len(kept)  # bisect right: after any equal entries
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n_cmp += 1
+            if entry < kept[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        kept.insert(lo, entry)
         if len(kept) > keep:
             kept.pop()
     if counter is not None:
@@ -324,11 +316,11 @@ class _DropBuffer:
         weights = self._weights
         if len(kept) == len(weights):
             if v < kept[-1]:
-                _insert_sorted(kept, v)
+                insort(kept, v)
                 v = kept.pop()
             self._rest = v if self._rest is None else tnorm(self._rest, v)
         else:
-            _insert_sorted(kept, v)
+            insort(kept, v)
         j = len(kept) - 1
         acc = kept[j] if self._rest is None else tnorm(kept[j], self._rest)
         best = acc * weights[j]

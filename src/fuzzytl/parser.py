@@ -210,8 +210,13 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 
 
+def _is_atom_name(name: str) -> bool:
+    """An identifier that is not a keyword: a name the syntax can write."""
+    return name not in KEYWORDS and _IDENT_RE.fullmatch(name) is not None
+
+
 def _atom_text(name: str) -> str:
-    if name in KEYWORDS or not _IDENT_RE.fullmatch(name):
+    if not _is_atom_name(name):
         raise ValidationError(f"atom {name!r} cannot be written in the concrete syntax")
     return name
 

@@ -11,15 +11,13 @@ from typing import Optional
 
 from .core import AvoidingFunction, Trace
 from .errors import ValidationError
-from .parser import BOUND_CEILING, KEYWORDS
-
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .parser import BOUND_CEILING, _is_atom_name
 
 
 def _check_atom_names(atoms) -> tuple[str, ...]:
     names = tuple(atoms)
     for name in names:
-        if not isinstance(name, str) or not _ATOM_RE.match(name) or name in KEYWORDS:
+        if not isinstance(name, str) or not _is_atom_name(name):
             raise ValidationError(f"{name!r} is not a usable atom name")
     return names
 

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import fuzzytl.cli
 from fuzzytl.cli import build_arg_parser, main
 from fuzzytl.demo import availability, generate_day
+from fuzzytl.errors import NotALasso
 
 
 @pytest.fixture
@@ -92,15 +94,6 @@ class TestEval:
         expected = evaluate(ctx, parse_formula("p & q")).value
         assert doc["value"] == expected  # bit-for-bit through the JSON text
 
-    def test_exit_codes(self, table3, tmp_path):
-        assert main(["eval", "--formula", "AG[2", "--trace", table3]) == 1
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"atoms":["p"],"states":[[7.0]]}')
-        assert main(["eval", "--formula", "p", "--trace", str(bad)]) == 2
-        assert main(["eval", "--formula", "p", "--trace", table3, "--eta", "table:0.5"]) == 2
-        assert main(["eval", "--formula", "X[9] p", "--trace", table3]) == 3
-        assert main(["eval", "--formula", "q", "--trace", table3]) == 3
-
     @pytest.mark.parametrize("cell", ['"x"', "null"])
     def test_non_numeric_degree_is_a_validation_error(self, tmp_path, capsys, cell):
         bad = tmp_path / "bad.json"
@@ -178,22 +171,6 @@ class TestRewrite:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "true U p"
 
-    def test_budget_exhaustion_exit_code(self, capsys):
-        rc = main(
-            [
-                "rewrite",
-                "--formula",
-                "AG[4] p",
-                "--interp",
-                "product",
-                "--target",
-                "adequate",
-                "--budget",
-                "1000",
-            ]
-        )
-        assert rc == 4
-
     @pytest.mark.parametrize(
         "interp, code", [("zadeh", 0), ("godel", 4), ("lukasiewicz", 0), ("product", 0)]
     )
@@ -267,6 +244,77 @@ class TestCheck:
         assert "counterexample here" in capsys.readouterr().out
 
 
+_EVAL = ["eval", "--trace", "{t3}", "--formula"]
+_VERIFY = ["rewrite", "--formula", "G p", "--target", "rule:FG-dual", "--verify"]
+
+#: (argv, exit code, first words of the one stderr line); {t3} is the
+#: four-state trace, {bad} one with a degree outside [0, 1], {tmp} a scratch dir
+_FAILURE_CASES = {
+    "eval-syntax": ([*_EVAL, "AG[2"], 1, "syntax error: "),
+    "eval-too-deep-to-parse": ([*_EVAL, "!" * 1500 + "p"], 3, "evaluation error: "),
+    "eval-missing-trace": (["eval", "--trace", "{tmp}/none.json", "--formula", "p"], 2, "validation error: "),
+    "eval-invalid-trace": (["eval", "--trace", "{bad}", "--formula", "p"], 2, "validation error: "),
+    "eval-bad-eta": ([*_EVAL, "p", "--eta", "table:0.5"], 2, "validation error: "),
+    "eval-gauss-past-ceiling": ([*_EVAL, "p", "--eta", "gauss:1000001"], 2, "validation error: "),
+    "eval-strict-horizon": ([*_EVAL, "X[9] p"], 3, "evaluation error: "),
+    "eval-unknown-atom": ([*_EVAL, "q"], 3, "evaluation error: "),
+    "eval-scale-index": ([*_EVAL, "O[5] p", "--eta", "table:1,0.5,0.3"], 3, "evaluation error: "),
+    "eval-negative-at": ([*_EVAL, "p", "--at", "-1"], 3, "evaluation error: "),
+    "eval-at-past-end": ([*_EVAL, "p", "--at", "10"], 3, "evaluation error: "),
+    "rewrite-syntax": (["rewrite", "--formula", "F[", "--target", "adequate"], 1, "syntax error: "),
+    "rewrite-bad-eta": (["rewrite", "--formula", "p", "--target", "adequate", "--eta", "x"], 2, "validation error: "),
+    "rewrite-budget": (
+        ["rewrite", "--formula", "AG[4] p", "--interp", "product", "--target", "adequate", "--budget", "1000"],
+        4,
+        "budget exceeded; partial form: ",
+    ),
+    "rewrite-not-lowerable": (
+        ["rewrite", "--formula", "G p", "--interp", "godel", "--target", "adequate"],
+        4,
+        "not lowerable: ",
+    ),
+    "verify-missing-trace": ([*_VERIFY, "{tmp}/none.json"], 2, "validation error: "),
+    "verify-invalid-trace": ([*_VERIFY, "{bad}"], 2, "validation error: "),
+    "verify-unknown-atom": (
+        ["rewrite", "--formula", "G q", "--target", "rule:FG-dual", "--verify", "{t3}"],
+        3,
+        "evaluation error: ",
+    ),
+    "gen-demo-no-minutes": (["gen-demo", "--minutes", "0", "--out", "{tmp}/x.json"], 2, "validation error: "),
+    "gen-demo-unwritable": (["gen-demo", "--minutes", "5", "--out", "{tmp}/no/dir/x.json"], 2, "cannot write "),
+}
+
+
+class TestFailures:
+    @pytest.mark.parametrize("argv, code, prefix", _FAILURE_CASES.values(), ids=_FAILURE_CASES)
+    def test_one_line_and_its_exit_code(self, table3, tmp_path, capsys, argv, code, prefix):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"atoms":["p"],"states":[[7.0]]}')
+        paths = {"t3": table3, "bad": str(bad), "tmp": str(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+    def test_error_escaping_a_law_suite_is_an_evaluation_error(self, capsys, monkeypatch):
+        def lasso_only(seed, cases):
+            raise NotALasso("unbounded limits need a lasso trace")
+
+        monkeypatch.setitem(fuzzytl.cli.SUITES, "oracle", lasso_only)
+        assert main(["check", "--suite", "oracle"]) == 3
+        assert capsys.readouterr().err == "evaluation error: unbounded limits need a lasso trace\n"
+
+    def test_other_os_errors_propagate(self, capsys, monkeypatch):
+        # only an unreadable trace file is a validation error, not (say) a closed stdout
+        def closed_stdout(args):
+            raise OSError("stdout closed")
+
+        monkeypatch.setitem(fuzzytl.cli._COMMANDS, "eval", closed_stdout)
+        with pytest.raises(OSError, match="stdout closed"):
+            main(["eval", "--formula", "p", "--trace", "x.json"])
+        assert capsys.readouterr().err == ""
+
+
 class TestImports:
     def test_cli_imports_no_law_suites(self):
         # eval needs none of these; each subcommand imports its own
@@ -312,10 +360,6 @@ class TestGenDemo:
         assert rc == 0
         value = float(capsys.readouterr().out.split()[0])
         assert 0.0 <= value <= 1.0
-
-    def test_unwritable_path(self, tmp_path):
-        rc = main(["gen-demo", "--minutes", "5", "--out", str(tmp_path / "no" / "dir" / "x.json")])
-        assert rc == 2
 
     @pytest.mark.parametrize("minutes", ["0", "-3"])
     def test_empty_day_is_a_validation_error(self, tmp_path, capsys, minutes):

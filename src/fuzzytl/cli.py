@@ -2,11 +2,11 @@
 
 Subcommands raise their errors; ``main`` alone prints one stderr line
 ``<kind>: <message>`` and exits with the kind's code, read from ``_FAILURES``:
-1 syntax error, 2 validation error (a trace, eta spec or demo length), 4 not
-lowerable, 3 evaluation error (any other FtlError, a formula nested too deep
-to parse or evaluate included).  ``budget exceeded; partial form: ...`` exits
-4 and a law-suite failure 5; rewrite's bad ``--target`` and gen-demo's
-``cannot write`` print their own line and exit 2.
+1 syntax error, 2 validation error (a trace, eta spec, demo length or case
+count), 4 not lowerable, 3 evaluation error (any other FtlError, a formula
+nested too deep to parse or evaluate included).  ``budget exceeded; partial
+form: ...`` exits 4 and a law-suite failure 5; rewrite's bad ``--target``
+and gen-demo's ``cannot write`` print their own line and exit 2.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.cases <= 0:
+        raise ValidationError(f"--cases must be at least 1, got {args.cases}")
     from .checks import SUITES
 
     names = sorted(SUITES) if args.suite == "all" else [args.suite]

@@ -439,11 +439,15 @@ class Trace:
         rows = tuple(self.states)
         if not _ROW_TYPES.issuperset(map(type, rows)):
             rows = tuple(map(_rereadable, rows))
-        # C-level passes: one converts, the others bound every value; NaN
-        # passes min and max but turns the sum into NaN.
+        # C-level passes: one converts (rows of floats only become tuples),
+        # the others bound every value; NaN passes min and max but turns the
+        # sum into NaN.
         try:
-            states = tuple(map(tuple, map(map, repeat(float), rows)))
             values = chain.from_iterable
+            if {float}.issuperset(map(type, values(rows))):
+                states = tuple(map(tuple, rows))  # a tuple row is kept as it is
+            else:
+                states = tuple(map(tuple, map(map, repeat(float), rows)))
             total = sum(values(states))
             valid = total == total and min(values(states)) >= 0.0 and max(values(states)) <= 1.0
         except (TypeError, ValueError, OverflowError):

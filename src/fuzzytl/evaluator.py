@@ -627,9 +627,22 @@ def _relaxed_fold(ctx):
 
 
 def _until_window(ctx, f, lo, hi, t, memo, hold):
-    """U[t] or AU[t].  ``hold(ctx)`` gives (fold, min_k): fold(values, step)
-    maps a window's left values to the held fold of each prefix, which never
-    increases from the min_k-th prefix on; step is the t-norm.
+    """U[t] or AU[t]: the first largest of right[i] and, for k = 1 .. t, the
+    t-norm step of the held fold of left[i : i + k] with right[i + k].
+    ``hold(ctx)`` gives (fold, min_k): fold(values, step) maps a window's
+    left values to the held fold of each prefix, which never increases from
+    the min_k-th prefix on.
+
+    A held fold is at most 1.0 and each rounded t-norm is monotone in both
+    arguments, so no candidate at q beats cap(q) = step(1.0, right[q]); under
+    Lukasiewicz that can round above right[q].  A window whose right[i] is
+    at least every cap of the window takes right[i] with no fold.  A window
+    whose left values are one value, bit for bit, takes the hold list of that
+    value, folded once per fill.  An almost-until window folds its prefixes
+    lazily and stops once its best so far is at least every cap still ahead,
+    or, under Zadeh and Godel, once a hold that can only fall is at most its
+    best.  Each skipped candidate is at most the value kept, which a full
+    max keeps too, as it keeps the first of equal values.
 
     Redone one position at a time, the missing values inside the trace are
     computed in the order right(lo), left(lo), right(lo+1), ..., so a window
@@ -644,12 +657,47 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
             _span(ctx, left, p, 1, memo)
     right, rtags = _span(ctx, right, lo, n + t, memo)
     left, ltags = _span(ctx, left, lo, n + t - 1, memo)
-    fold, step = hold(ctx)[0], ctx._binary[And]  # the t-norm, C-level where the bits match
-    out = [
-        max(chain((right[i],), map(step, fold(left[i : i + t], step), right[i + 1 : i + t + 1])))
-        for i in range(n)
-    ]
-    return out, _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
+    tags = _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
+    if t == 0:
+        return right[:n], tags
+    fold, min_k = hold(ctx)
+    step = ctx._binary[And]  # the t-norm, C-level where the bits match
+    # each window's largest right value after right[i]: step(1.0, .) is
+    # monotone, so its cap is the window's largest cap
+    tops = _slide(algebra._maximum, right[1:], n, t)
+    holds = {}  # (value, sign) -> the held folds of t copies of the value
+    exit_on_hold = ctx.interp in _IDEMPOTENT
+    out = []
+    for i, top in enumerate(tops):
+        best = right[i]
+        if best >= step(1.0, top):
+            out.append(best)
+            continue
+        window, ahead = left[i : i + t], right[i + 1 : i + t + 1]
+        v = window[0]
+        # one value, bit for bit: 0.0 and -0.0 differ
+        if window.count(v) == t and (v or len(set(map(math.copysign, repeat(1.0), window))) == 1):
+            key = (v, math.copysign(1.0, v))
+            held = holds.get(key)
+            if held is None:
+                held = holds[key] = list(fold(window, step))
+            best = max(chain((best,), map(step, held, ahead)))
+        elif fold is accumulate:  # until's prefix folds run in C
+            best = max(chain((best,), map(step, accumulate(window, step), ahead)))
+        else:
+            # the largest right value after candidate k = 1 .. t (-1.0 once
+            # none is left)
+            later = reversed(list(accumulate(reversed(ahead[1:]), max, initial=-1.0)))
+            for k, h, r, rest in zip(count(1), fold(window, step), ahead, later):
+                if exit_on_hold and k >= min_k and h <= best:
+                    break  # every later hold, so every later candidate, is at most h
+                cand = step(h, r)
+                if cand > best:
+                    best = cand
+                if best >= step(1.0, rest):
+                    break
+        out.append(best)
+    return out, tags
 
 
 def _h_scale(ctx, f, lo, hi, memo):

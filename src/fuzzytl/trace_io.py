@@ -91,7 +91,10 @@ def trace_from_csv(text: str) -> Trace:
 
 
 def load_trace(path: str | Path) -> Trace:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"trace file {str(path)!r} is not UTF-8 text: {exc}") from exc
     head = text.lstrip()[:1]
     if head == "{":
         return trace_from_json(text)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -688,6 +689,65 @@ KERNEL_DIGEST = "6a504b07985f965616a714a531826794b5042e75c254aeb7b650cfea3c2f9c9
 def test_twin_kernels_golden_outcomes():
     lines = kernel_outcomes()
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
+
+
+def _until_reference(ctx, almost, t, n):
+    """``p U[t] q`` (or ``p AU[t] q``) at positions 0 .. n-1, one full window
+    at a time: every prefix held, every candidate stepped, the first largest
+    kept."""
+    left = [row[0] for row in ctx.trace.states]
+    right = [row[1] for row in ctx.trace.states]
+    step = evaluator._BINARY[ctx.interp][And]
+    out = []
+    for i in range(n):
+        if almost:
+            held = map(evaluator._DropBuffer(ctx.ops.tnorm, ctx.eta).push, left[i : i + t])
+        else:
+            held = itertools.accumulate(left[i : i + t], step)
+        out.append(max(itertools.chain((right[i],), map(step, held, right[i + 1 : i + t + 1]))))
+    return out
+
+
+def _until_trace(t, seed):
+    """A left column of constant runs as long as t-1, t, t+1 and 2t+5, runs
+    that mix 0.0 and -0.0 and short noise between them; a right column drawn
+    from values whose Lukasiewicz step(1.0, r) rounds above r (0.1, 0.3),
+    from 0.0, -0.0 and 1.0, and at random.  The trace ends in t positions
+    that only complete the last windows."""
+    rng = random.Random(seed)
+    runs = (1.0, 0.875, 0.1, 0.0, -0.0, 0.7, 1.0, 0.3)
+    left = []
+    for k, v in enumerate(runs):
+        left += [v] * (max(t - 1 + k % 3, 0) if k < 6 else 2 * t + 5)
+        left += [rng.choice((rng.random(), 1.0, 0.9)) for _ in range(3)]
+    left += [0.0] * t + [-0.0] + [0.0] * t + [-0.0] * (t + 1) + [0.0]
+    right = [rng.choice((0.1, 0.3, 0.0, -0.0, 1.0, rng.random(), rng.random())) for _ in left]
+    # right(i) = 0.1 ties the first hold, yet the Lukasiewicz step of that
+    # hold with the 1.0 after it rounds above 0.1
+    left += [0.1, 0.5, 0.5]
+    right += [0.1, 1.0, 0.5]
+    right += [rng.random() for _ in range(t)]
+    left += [1.0] * t
+    assert algebra._luk_tnorm(1.0, 0.1) > 0.1 and algebra._luk_tnorm(1.0, 0.3) > 0.3
+    return Trace(("p", "q"), tuple(zip(left, right)))
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("t", [0, 1, 5, 15, 60])
+def test_bounded_until_columns_match_the_full_scan(interp, t):
+    """The skipped, shared and cut-short windows of U[t] and AU[t] give the
+    bits of scanning every window in full, n_eta below and above t."""
+    trace = _until_trace(t, seed=t)
+    n = len(trace) - t
+    for eta in (AvoidingFunction.crisp(), ETA_3, AvoidingFunction.gaussian(t + 4)):
+        ctx = ctx_for(trace, interp, eta)
+        for almost, text in ((False, f"p U[{t}] q"), (True, f"p AU[{t}] q")):
+            f = parse(text)
+            want = [v.hex() for v in _until_reference(ctx, almost, t, n)]
+            assert [v.hex() for v in _range_column(ctx, f, n)] == want, (text, eta)
+            stride = 1 + t // 15  # every 5th point at t = 60 keeps the test short
+            got = [evaluate(ctx, f, pos).value.hex() for pos in range(0, n, stride)]
+            assert got == want[::stride], (text, eta)
 
 
 class TestFormulaTooDeep:

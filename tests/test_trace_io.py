@@ -89,6 +89,13 @@ def test_bad_csv_rejected(bad):
         trace_from_csv(bad)
 
 
+def test_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(bytes.fromhex("fffe00626164"))
+    with pytest.raises(ValidationError, match="is not UTF-8 text"):
+        load_trace(path)
+
+
 def load_outcome(load, text) -> str:
     """What loading a trace gives: its stored values as ``float.hex``, or
     the exception's type and message."""

@@ -18,7 +18,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, is_not, itemgetter, lt, mul
 from typing import Optional
 
@@ -59,6 +59,7 @@ from .errors import (
     NotALasso,
     PositionOutOfRange,
     ScaleIndexOutOfRange,
+    ValidationError,
 )
 
 _IDEMPOTENT = frozenset({Interpretation.ZADEH, Interpretation.GODEL})
@@ -271,19 +272,84 @@ def _slide(op, values, n: int, width: int) -> list:
     return out
 
 
+def _drop_estimates(tnorm, weights, values, kept):
+    """Bounds on the candidates of _best_drop under the Archimedean t-norms:
+    (estimates, top, zeros), or None when no bound applies.
+
+    Candidate j, weights[j] times the positional fold of the r = m - j
+    values (of the window's m) that dropping the j smallest retains, lies
+    near estimates[j].  A j with estimates[j] < top is strictly below the
+    best candidate, which is positive; each j < zeros folds to exactly +0.0.
+
+    Lukasiewicz: the exact fold is max(0, d[j]), where d[j] is 1 less the
+    retained deficits 1 - v, that is, the retained values' sum less r - 1.
+    A rounded step fl(fl(a + b) - 1.0) is within 2^-53 of a + b - 1, as
+    fl(a + b) <= 2 rounds by at most 2^-53 and the subtraction is exact by
+    Sterbenz or the step clamps; the clamp is 1-Lipschitz, so the fold is
+    within (r - 1) * 2^-53 of max(0, d[j]).  d[j] from math.fsum of the
+    window and a running sum of dropped deficits is off by at most
+    (2m + j(m + 1)) * 2^-53, and the product with weights[j] and its
+    estimate round by 2^-53 each.  So a candidate is within
+    ((m + 1)(keep + 2) + 3) * 2^-53 of its estimate; ``slack`` is 8 times
+    that.  A j that retains two values or more with d[j] + slack < 0 folds
+    to +0.0: had no step clamped, the fold would be within (r - 1) * 2^-53
+    of d[j], below zero, so a step clamped to the literal 0.0, which each
+    later step keeps.  d[j] rises with j, so these j come first.
+
+    Product: when the window holds z < keep zeros (0.0 or -0.0), they are
+    the first z kept values, each j < z retains one and is a zero, and each
+    j >= z retains only positive values.  If the product of the positive
+    values times the smallest weight is a normal float, so is every partial
+    product and candidate, and each multiplication or division rounds by a
+    factor within 1 +- 2^-53.  The estimate, math.prod of the positive values
+    over the running product of the dropped ones, times weights[j], takes at
+    most m + j + 1 such factors or their inverses, and the candidate r <= m;
+    so a candidate is within a relative (2m + keep + 1) * 2^-53 of its
+    estimate, to first order, and ``rho`` is over 16 times that.  The best
+    candidate is then positive, so every j < z falls below ``top``.
+    """
+    m, keep = len(values), len(kept)
+    smallest = [v for v, _ in kept[:-1]]
+    if tnorm is algebra._luk_tnorm:
+        slack = (m + 1) * (keep + 3) * 2.0**-50
+        d = list(accumulate([1.0 - v for v in smallest], initial=math.fsum(values) - (m - 1)))
+        estimates = [x * w if x > 0.0 else 0.0 for x, w in zip(d, weights)]
+        return estimates, max(estimates) - 2 * slack, min(bisect_left(d, -slack), m - 1)
+    # Product
+    total, z = math.prod(values), 0
+    if not total:  # a zero, or a product that underflows
+        positive = list(filter(None, values))  # without 0.0 and -0.0
+        total, z = math.prod(positive), m - len(positive)
+    if z < keep and total * weights[keep - 1] > 2.0**-1000:
+        rho = (m + keep + 2) * 2.0**-48
+        dropped = accumulate(smallest[z:], mul, initial=1.0)
+        estimates = [0.0] * z + [total / q * w for q, w in zip(dropped, islice(weights, z, None))]
+        return estimates, max(estimates) * (1 - 2 * rho), 0
+    return None
+
+
 def _best_drop(interp, tnorm, weights, values, kept, offset: int = 0) -> float:
     """max over j < len(kept) of weights[j] * the t-norm fold of ``values``
     without the positions of kept[:j] (offset by ``offset``), folded in
-    position order; the first best j wins."""
+    position order; the first best j wins.
+
+    Under Lukasiewicz and Product, with three j or more, only the j that
+    _drop_estimates cannot rule out are folded, and a j it knows to be +0.0
+    is not folded, so the value and its bits are those of folding every j.
+    """
     if interp in _IDEMPOTENT:
         # the window product minus j smallest is just the (j+1)-th smallest
         return max(map(mul, [v for v, _ in kept], weights))
+    # with two candidates the bounds cost about the one fold they can save
+    bounds = _drop_estimates(tnorm, weights, values, kept) if len(kept) > 2 else None
+    estimates, top, zeros = bounds or (repeat(0.0), 0.0, 0)
     retain = [True] * len(values)
     best = None
-    for (_, p), w in zip(kept, weights):
-        cand = scale(_fold(tnorm, compress(values, retain)), w)
-        if best is None or cand > best:
-            best = cand
+    for j, (_, p), w, e in zip(count(), kept, weights, estimates):
+        if e >= top:  # j may be the best
+            cand = 0.0 if j < zeros else scale(_fold(tnorm, compress(values, retain)), w)
+            if best is None or cand > best:
+                best = cand
         retain[p - offset] = False  # the next j drops this value too
     return best
 
@@ -901,6 +967,8 @@ def almost_always_fast(
     """
     if pos < 0:
         raise PositionOutOfRange(f"negative position {pos}")
+    if t < 0:
+        raise ValidationError(f"negative window {t}")
     values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo)[0])
     keep = min(t, ctx.eta.n_eta - 1) + 1
     kept = _select_smallest(values, keep, counter)

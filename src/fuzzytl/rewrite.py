@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import is_
 from typing import Callable, Optional
 
@@ -347,6 +347,19 @@ def in_adequate_set(f: Formula, interp: Interpretation) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _strategy(rules, interp: Interpretation, eta: AvoidingFunction) -> dict[type, RewriteRule]:
+    """The first rule of ``rules(eta)`` sound under ``interp`` for each node
+    class, in preference order.  Keyed by the rule table's source too, so a
+    ``rule_set`` replaced at run time is read afresh; callers only read the
+    dict."""
+    strategy: dict[type, RewriteRule] = {}
+    for rule in rules(eta).values():
+        if interp in rule.applicable_interps:
+            strategy.setdefault(rule.pattern, rule)
+    return strategy
+
+
 class _Frame:
     """A node of the walk whose own rewrites are done and whose children are
     being lowered, left to right."""
@@ -385,11 +398,7 @@ def lower_to_adequate(
     if eta is None:
         eta = AvoidingFunction.crisp()
     allowed = adequate_connectives(interp)
-    # the first sound rule for each node class, in rule_set's preference order
-    strategy: dict[type, RewriteRule] = {}
-    for rule in rule_set(eta).values():
-        if interp in rule.applicable_interps:
-            strategy.setdefault(rule.pattern, rule)
+    strategy = _strategy(rule_set, interp, eta)
     total = f.size
     if total > budget:
         raise BudgetExceeded(f"input already has {total} nodes (budget {budget})", partial=f)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,7 @@ from fuzzytl.errors import (
     PositionOutOfRange,
     ScaleIndexOutOfRange,
     UnknownAtom,
+    ValidationError,
 )
 from fuzzytl.evaluator import (
     EvalContext,
@@ -385,6 +387,11 @@ class TestAlmostAlwaysFast:
     def test_negative_position_rejected(self):
         with pytest.raises(PositionOutOfRange):
             almost_always_fast(ctx_for(WORKED), Atom("p"), -1, 2)
+
+    @pytest.mark.parametrize("interp", [Z, G, L, P])
+    def test_negative_window_rejected(self, interp):
+        with pytest.raises(ValidationError, match="negative window -1"):
+            almost_always_fast(ctx_for(WORKED, interp), Atom("p"), 0, -1)
 
 
 def test_within_equals_eventually_when_crisp_table():
@@ -748,6 +755,123 @@ def test_bounded_until_columns_match_the_full_scan(interp, t):
             stride = 1 + t // 15  # every 5th point at t = 60 keeps the test short
             got = [evaluate(ctx, f, pos).value.hex() for pos in range(0, n, stride)]
             assert got == want[::stride], (text, eta)
+
+
+def _full_refold_best_drop(tnorm, weights, values, kept):
+    """_best_drop under Lukasiewicz and Product with every avoidance count j
+    folded: the reference the bounded one must equal bit for bit."""
+    retain = [True] * len(values)
+    best = None
+    for (_, p), w in zip(kept, weights):
+        cand = algebra.scale(evaluator._fold(tnorm, itertools.compress(values, retain)), w)
+        if best is None or cand > best:
+            best = cand
+        retain[p] = False
+    return best
+
+
+def _designed_window(rng, interp, weights, m, keep):
+    """m degrees, shuffled, whose keep - 1 smallest the last candidate drops.
+
+    Either the last two candidates tie up to rounding, or the window holds
+    keep - 1, keep or keep + 1 signed zeros, or (Lukasiewicz only) the
+    r = m - keep + 1 retained values sum to r - 1, or to within 2^-30 ..
+    2^-53 of it on either side: a deficit sum of 1, where a fold is zero or
+    positive by rounding.
+    """
+    r = m - keep + 1
+    kind = rng.choice(("tie", "tie", "zeros") + (("edge", "edge") if interp is L else ()))
+    if kind == "zeros":
+        zeros = [rng.choice((0.0, -0.0)) for _ in range(min(m, keep + rng.randrange(-1, 2)))]
+        window = zeros + [rng.random() for _ in range(m - len(zeros))]
+        rng.shuffle(window)
+        return window
+    if kind == "edge":
+        offset = rng.choice((-1, 1)) * rng.choice((0.0, *(2.0**-e for e in range(30, 54))))
+        if r == 1:
+            retained = [rng.choice((0.0, -0.0, 2.0**-1074, 2.0**-53))]
+        else:
+            share = rng.uniform(0.2, 0.6) / (r - 1)  # the last value, below 0.9
+            retained = [1.0 - share * rng.uniform(0.5, 1.5) for _ in range(r - 1)]
+            last = sum(map(Fraction, retained), Fraction(offset)) - (r - 1)
+            retained.append(float(-last))
+        dropped = []
+    else:
+        # the last candidate drops x, the (keep - 1)-th smallest value, too;
+        # it ties the one before when w[keep - 1] * fold(retained) equals
+        # w[keep - 2] * fold(retained and x): at x = q under Product and at
+        # x = 1 - fold(retained) * (1 - q) under Lukasiewicz
+        q = Fraction(weights[keep - 1]) / Fraction(weights[keep - 2])
+        if interp is P:
+            x = float(q)
+            retained = [rng.uniform(x, 1.0) for _ in range(r)]
+        else:
+            deficit = float((1 - q) / (Fraction(3, 2 * r) + 1 - q)) * 0.8
+            retained = [1.0 - deficit / r * rng.uniform(0.5, 1.5) for _ in range(r)]
+            fold = 1 - sum(1 - Fraction(v) for v in retained)
+            x = float(1 - fold * (1 - q))
+        dropped = [x]
+    cut = min(retained + dropped)
+    dropped += [rng.choice((0.0, -0.0, rng.uniform(0.0, cut))) for _ in range(m - r - len(dropped))]
+    window = retained + dropped
+    rng.shuffle(window)
+    return window
+
+
+def _ag_column(rng, interp, eta, t, n):
+    """n + t degrees: off-grid values of the families below with ties, and
+    a designed window at every (t + 1)-th position."""
+    m, keep = t + 1, min(t, eta.n_eta - 1) + 1
+    families = (
+        lambda: 1.0 - rng.randrange(64) * 2.0**-53,
+        lambda: rng.random() * 0.5,  # 1 - v rounds
+        lambda: rng.choice((0.0, -0.0, 1.0)),
+        rng.random,
+    )
+    column = [rng.choice(families)() for _ in range(n + t)]
+    for i in rng.sample(range(n + t), (n + t) // 4):
+        column[i] = column[rng.randrange(n + t)]  # ties
+    if keep > 1:
+        for start in range(0, n, m):
+            column[start : start + m] = _designed_window(rng, interp, eta.table, m, keep)
+    return column
+
+
+def _check_ag_against_the_full_refold(interp, eta, t, column, n):
+    """AG[t] at positions 0 .. n-1 of ``column``, by a range fill, point
+    evaluations and almost_always_fast, hex-equal to the full refold."""
+    ctx = ctx_for(Trace(("p",), tuple((v,) for v in column)), interp, eta)
+    keep = min(t, eta.n_eta - 1) + 1
+    want = []
+    for i in range(n):
+        window = column[i : i + t + 1]
+        kept = sorted(zip(window, itertools.count()))[:keep]
+        want.append(_full_refold_best_drop(ctx.ops.tnorm, eta.table, window, kept).hex())
+    f = AlmostAlwaysB(t, Atom("p"))
+    assert [v.hex() for v in _range_column(ctx, f, n)] == want, (eta, column)
+    stride = 1 + t // 20
+    got = [evaluate(ctx, f, pos).value.hex() for pos in range(0, n, stride)]
+    assert got == want[::stride], (eta, column)
+    got = [almost_always_fast(ctx, Atom("p"), pos, t).hex() for pos in range(0, n, stride)]
+    assert got == want[::stride], (eta, column)
+
+
+@pytest.mark.parametrize("interp", [L, P])
+@pytest.mark.parametrize("t", [1, 5, 20, 60, 300])
+def test_bounded_almost_always_matches_the_full_refold(interp, t):
+    """Bounded AG folds only the avoidance counts that can win, yet gives
+    the bits of folding every count, n_eta from crisp to past the window: on
+    a sliding column, and on designed windows alone, where a wrong bound
+    shows in only some windows."""
+    gauss = AvoidingFunction.gaussian
+    for eta in (AvoidingFunction.crisp(), ETA_3, gauss(20), gauss(t + 4)):  # n_eta 1, 3, 21, t + 5
+        rng = random.Random(1000 * t + eta.n_eta)
+        n = max(t + 2, 40)
+        _check_ag_against_the_full_refold(interp, eta, t, _ag_column(rng, interp, eta, t, n), n)
+        keep = min(t, eta.n_eta - 1) + 1
+        for _ in range((48 if t <= 60 else 8) if keep > 1 else 0):
+            window = _designed_window(rng, interp, eta.table, t + 1, keep)
+            _check_ag_against_the_full_refold(interp, eta, t, window, 1)
 
 
 class TestFormulaTooDeep:

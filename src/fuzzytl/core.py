@@ -7,7 +7,7 @@ concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter
@@ -50,81 +50,61 @@ class Interpretation(Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Formula:
-    """Base class of the abstract syntax tree; all nodes are frozen.
+    """Base of the abstract syntax tree; the immutable node classes are built
+    from the rows of ``OPERATORS``, their fields in ``__match_args__``.
 
-    ``size`` is the node count of the expanded tree, a shared subtree counted
-    at every use.  It is set once from the children's sizes, so it costs O(1)
-    per node however deep or shared the formula is, and it takes no part in
-    ``==``, ``hash`` or ``repr``.
-    """
+    ``size`` (the expanded tree's node count) and the hash (that of the tuple
+    of fields) are set at construction in O(1).  ``size`` takes no part in
+    ``==``, ``hash`` or ``repr``; ``==`` and ``repr`` walk a stack, not recurse."""
 
-    size: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("size", "_hash")
 
-    def __post_init__(self) -> None:
-        spec = OPERATORS[type(self)]
-        if spec.param is not None:
-            _check_bound(getattr(self, spec.param))
-        size = 1
-        for name in spec.children:
-            size += getattr(self, name).size
-        # frozen, so write the instance dict directly; the field is never rebound
-        self.__dict__["size"] = size
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+    def __hash__(self) -> int:
+        return self._hash
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for name in a.__match_args__:  # the int or str field comes first
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
-@dataclass(frozen=True)
-class Top(Formula):
-    """Constant truth 1."""
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                parts.append(item)
+                continue
+            parts.append(type(item).__qualname__ + "(")
+            stack.append(")")
+            for i, name in reversed(tuple(enumerate(item.__match_args__))):
+                value = getattr(item, name)
+                stack += (value if isinstance(value, Formula) else repr(value), f"{name}=")
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
 
-
-@dataclass(frozen=True)
-class Bot(Formula):
-    """Constant truth 0."""
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class WeakAnd(Formula):
-    """Lattice conjunction (pointwise minimum under every interpretation)."""
-
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class WeakOr(Formula):
-    """Lattice disjunction (pointwise maximum under every interpretation)."""
-
-    left: Formula
-    right: Formula
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _check_bound(t: int) -> None:
@@ -132,104 +112,59 @@ def _check_bound(t: int) -> None:
         raise ValidationError(f"temporal bound must be a natural number, got {t!r}")
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    arg: Formula
+# One constructor per field shape, writing past the refusing ``__setattr__``.
+_set = object.__setattr__
+_set_size = Formula.size.__set__
+_set_hash = Formula._hash.__set__
 
 
-@dataclass(frozen=True)
-class Soon(Formula):
-    """Next, relaxed: tolerates up to n_eta instants of delay with penalties."""
-
-    arg: Formula
+def _init_leaf(self):
+    _set_size(self, 1)
+    _set_hash(self, hash(()))
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    arg: Formula
+def _init_name(self, name):
+    _set(self, "name", name)
+    _set_size(self, 1)
+    _set_hash(self, hash((name,)))
 
 
-@dataclass(frozen=True)
-class EventuallyB(Formula):
-    bound: int
-    arg: Formula
+def _init_arg(self, arg):
+    _set(self, "arg", arg)
+    _set_size(self, arg.size + 1)
+    _set_hash(self, hash((arg,)))
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    arg: Formula
+def _init_bound_arg(self, bound, arg):
+    _check_bound(bound)
+    _set(self, "bound", bound)
+    _set(self, "arg", arg)
+    _set_size(self, arg.size + 1)
+    _set_hash(self, hash((bound, arg)))
 
 
-@dataclass(frozen=True)
-class AlwaysB(Formula):
-    bound: int
-    arg: Formula
+def _init_index_arg(self, index, arg):
+    _check_bound(index)
+    _set(self, "index", index)
+    _set(self, "arg", arg)
+    _set_size(self, arg.size + 1)
+    _set_hash(self, hash((index, arg)))
 
 
-@dataclass(frozen=True)
-class AlmostAlways(Formula):
-    arg: Formula
+def _init_pair(self, left, right):
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _set_size(self, left.size + right.size + 1)
+    _set_hash(self, hash((left, right)))
 
 
-@dataclass(frozen=True)
-class AlmostAlwaysB(Formula):
-    bound: int
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Lasts(Formula):
-    """Holds for the next `bound` instants, possibly cut short near the end."""
-
-    bound: int
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Within(Formula):
-    """Holds within `bound` instants, or a little later at a penalty."""
-
-    bound: int
-    arg: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class UntilB(Formula):
-    bound: int
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class AlmostUntil(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class AlmostUntilB(Formula):
-    bound: int
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Scale(Formula):
-    """Multiplies the child's degree by eta(index); 1 <= index < n_eta at eval time."""
-
-    index: int
-    arg: Formula
-
-
-# ---------------------------------------------------------------------------
-# The operator table
-# ---------------------------------------------------------------------------
+def _init_bound_pair(self, bound, left, right):
+    _check_bound(bound)
+    _set(self, "bound", bound)
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _set_size(self, left.size + right.size + 1)
+    _set_hash(self, hash((bound, left, right)))
 
 
 class Bound:
@@ -252,33 +187,16 @@ class Level:
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One row of the operator table; arity comes from the dataclass fields."""
+    """One row of the operator table, with its node class."""
 
     cls: type
     keyword: Optional[str]  # None for atoms, whose text is their name
     level: int  # a Level
-    bound: str = Bound.NONE
-    twin: Optional[type] = None  # the bounded <-> unbounded counterpart
-    children: tuple[str, ...] = field(init=False)  # the Formula fields, in order
-    param: Optional[str] = field(init=False)  # the int field; always the first
-    get_children: Callable[[Formula], tuple[Formula, ...]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # ``size`` is not an init field, so it is neither a child nor the param
-        typed = [(f.name, f.type) for f in fields(self.cls) if f.init]
-        names = tuple(n for n, t in typed if t == "Formula")
-        object.__setattr__(self, "children", names)
-        object.__setattr__(self, "param", next((n for n, t in typed if t == "int"), None))
-        # tree walks call this once per node, so it is an attrgetter where it
-        # can be; for a single name attrgetter returns the bare value
-        if len(names) == 1:
-            one = attrgetter(names[0])
-            getter = lambda f: (one(f),)
-        elif names:
-            getter = attrgetter(*names)
-        else:
-            getter = lambda f: ()
-        object.__setattr__(self, "get_children", getter)
+    bound: str  # a Bound
+    twin: Optional[type]  # the bounded <-> unbounded counterpart
+    children: tuple[str, ...]  # the Formula fields, in order
+    param: Optional[str]  # the int field, "bound" or "index"; always the first
+    get_children: Callable[[Formula], tuple[Formula, ...]] = field(repr=False)
 
     @property
     def unbounded(self) -> bool:
@@ -286,36 +204,68 @@ class OpSpec:
         return self.twin is not None and self.param is None
 
 
-#: Node class -> its row: concrete syntax, precedence and bounded twin.
-OPERATORS: dict[type, OpSpec] = {
-    spec.cls: spec
-    for spec in (
-        OpSpec(Atom, None, Level.LEAF),
-        OpSpec(Top, "true", Level.LEAF),
-        OpSpec(Bot, "false", Level.LEAF),
-        OpSpec(Not, "!", Level.UNARY),
-        OpSpec(Next, "X", Level.UNARY, Bound.REPEAT),
-        OpSpec(Soon, "S", Level.UNARY),
-        OpSpec(Eventually, "F", Level.UNARY, Bound.OPTIONAL, EventuallyB),
-        OpSpec(EventuallyB, "F", Level.UNARY, Bound.OPTIONAL, Eventually),
-        OpSpec(Always, "G", Level.UNARY, Bound.OPTIONAL, AlwaysB),
-        OpSpec(AlwaysB, "G", Level.UNARY, Bound.OPTIONAL, Always),
-        OpSpec(AlmostAlways, "AG", Level.UNARY, Bound.OPTIONAL, AlmostAlwaysB),
-        OpSpec(AlmostAlwaysB, "AG", Level.UNARY, Bound.OPTIONAL, AlmostAlways),
-        OpSpec(Lasts, "L", Level.UNARY, Bound.REQUIRED),
-        OpSpec(Within, "W", Level.UNARY, Bound.REQUIRED),
-        OpSpec(Scale, "O", Level.UNARY, Bound.INDEX),
-        OpSpec(Until, "U", Level.UNTIL, Bound.OPTIONAL, UntilB),
-        OpSpec(UntilB, "U", Level.UNTIL, Bound.OPTIONAL, Until),
-        OpSpec(AlmostUntil, "AU", Level.UNTIL, Bound.OPTIONAL, AlmostUntilB),
-        OpSpec(AlmostUntilB, "AU", Level.UNTIL, Bound.OPTIONAL, AlmostUntil),
-        OpSpec(And, "&", Level.AND),
-        OpSpec(WeakAnd, "&&", Level.AND),
-        OpSpec(Or, "|", Level.OR),
-        OpSpec(WeakOr, "||", Level.OR),
-        OpSpec(Implies, "->", Level.IMPLIES),
-    )
-}
+_ARG, _PAIR = ("arg",), ("left", "right")
+_B_ARG, _B_PAIR = ("bound", "arg"), ("bound", "left", "right")
+_OPT = Bound.OPTIONAL
+#: Constructor fields -> the constructor of that shape.
+_INITS = {(): _init_leaf, ("name",): _init_name, _ARG: _init_arg, _B_ARG: _init_bound_arg,
+          ("index", "arg"): _init_index_arg, _PAIR: _init_pair, _B_PAIR: _init_bound_pair}
+#: Child fields -> ``OpSpec.get_children``; tree walks call it once per node.
+_GETTERS = {(): lambda f: (), _ARG: lambda f: (f.arg,), _PAIR: attrgetter("left", "right")}
+
+#: The node kinds: class name, keyword, level, brackets, twin, constructor
+#: fields and docstring.  A ``bound`` or ``index`` field is an int and comes
+#: first, ``name`` is a str, and the others are the children.
+_ROWS = (
+    ("Atom", None, Level.LEAF, Bound.NONE, None, ("name",), "A proposition of the trace."),
+    ("Top", "true", Level.LEAF, Bound.NONE, None, (), "Constant truth 1."),
+    ("Bot", "false", Level.LEAF, Bound.NONE, None, (), "Constant truth 0."),
+    ("Not", "!", Level.UNARY, Bound.NONE, None, _ARG, "Negation."),
+    ("Next", "X", Level.UNARY, Bound.REPEAT, None, _ARG, "Holds at the next instant."),
+    ("Soon", "S", Level.UNARY, Bound.NONE, None, _ARG, "Next, relaxed: a delay of d costs eta(d)."),
+    ("Eventually", "F", Level.UNARY, _OPT, "EventuallyB", _ARG, "Holds at some instant."),
+    ("EventuallyB", "F", Level.UNARY, _OPT, "Eventually", _B_ARG, "F within `bound` steps."),
+    ("Always", "G", Level.UNARY, _OPT, "AlwaysB", _ARG, "Holds at every instant."),
+    ("AlwaysB", "G", Level.UNARY, _OPT, "Always", _B_ARG, "G within `bound` steps."),
+    ("AlmostAlways", "AG", Level.UNARY, _OPT, "AlmostAlwaysB", _ARG, "G; dropping j costs eta(j)."),
+    ("AlmostAlwaysB", "AG", Level.UNARY, _OPT, "AlmostAlways", _B_ARG, "AG within `bound`."),
+    ("Lasts", "L", Level.UNARY, Bound.REQUIRED, None, _B_ARG, "G[bound], cut j short at eta(j)."),
+    ("Within", "W", Level.UNARY, Bound.REQUIRED, None, _B_ARG, "F[bound], or d later at eta(d)."),
+    ("Scale", "O", Level.UNARY, Bound.INDEX, None, ("index", "arg"), "Degree times eta(index)."),
+    ("Until", "U", Level.UNTIL, _OPT, "UntilB", _PAIR, "`left` holds until `right` does."),
+    ("UntilB", "U", Level.UNTIL, _OPT, "Until", _B_PAIR, "U within `bound` steps."),
+    ("AlmostUntil", "AU", Level.UNTIL, _OPT, "AlmostUntilB", _PAIR, "U, with `left` as in AG."),
+    ("AlmostUntilB", "AU", Level.UNTIL, _OPT, "AlmostUntil", _B_PAIR, "AU within `bound`."),
+    ("And", "&", Level.AND, Bound.NONE, None, _PAIR, "Conjunction: the t-norm."),
+    ("WeakAnd", "&&", Level.AND, Bound.NONE, None, _PAIR, "Minimum under every interpretation."),
+    ("Or", "|", Level.OR, Bound.NONE, None, _PAIR, "Disjunction: the t-conorm."),
+    ("WeakOr", "||", Level.OR, Bound.NONE, None, _PAIR, "Maximum under every interpretation."),
+    ("Implies", "->", Level.IMPLIES, Bound.NONE, None, _PAIR, "The interpretation's implication."),
+)
+
+
+def _operators(rows) -> dict[type, OpSpec]:
+    """Build each row's node class with ``type()``, then its ``OpSpec``."""
+    classes = {
+        name: type(name, (Formula,), {
+            "__slots__": fields, "__match_args__": fields, "__init__": _INITS[fields],
+            "__doc__": doc, "__module__": __name__, "__qualname__": name,
+        })
+        for name, *_, fields, doc in rows
+    }
+    table = {}
+    for name, keyword, level, bound, twin, fields, _ in rows:
+        kids = tuple(n for n in fields if n in ("arg", "left", "right"))
+        param = fields[0] if fields and fields[0] in ("bound", "index") else None
+        table[classes[name]] = OpSpec(
+            classes[name], keyword, level, bound, classes.get(twin), kids, param, _GETTERS[kids]
+        )
+    return table
+
+
+#: Node class -> its row.  Each class is also a name of this module: ``core.Atom``.
+OPERATORS: dict[type, OpSpec] = _operators(_ROWS)
+globals().update((spec.cls.__name__, spec.cls) for spec in OPERATORS.values())
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -428,8 +378,8 @@ class Trace:
     atoms: tuple[str, ...]
     states: tuple[tuple[TruthDegree, ...], ...]
     loop_start: Optional[int] = None
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
-    _length: int = field(default=0, compare=False, repr=False)
+    _index: dict = field(init=False, compare=False, repr=False)
+    _length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         atoms = tuple(self.atoms)
@@ -472,7 +422,7 @@ class Trace:
                 raise ValidationError(
                     f"loop start {loop!r} outside 0..{len(states) - 1}"
                 )
-        self._index.update({name: k for k, name in enumerate(atoms)})
+        object.__setattr__(self, "_index", {name: k for k, name in enumerate(atoms)})
         object.__setattr__(self, "_length", len(states))
 
     @property

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -12,13 +14,18 @@ from fuzzytl.core import (
     Atom,
     AvoidingFunction,
     Bot,
+    Eventually,
     EventuallyB,
     Formula,
+    Interpretation,
     Next,
+    Not,
+    Or,
     Scale,
     Top,
     Trace,
     UntilB,
+    WeakOr,
     children,
     degree,
     node_count,
@@ -26,7 +33,7 @@ from fuzzytl.core import (
 )
 from fuzzytl.checks import random_formula
 from fuzzytl.errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
-from fuzzytl.evaluator import _HANDLERS
+from fuzzytl.evaluator import _HANDLERS, EvalContext, evaluate
 
 
 def test_degree_accepts_unit_interval():
@@ -157,6 +164,22 @@ class TestTrace:
         with pytest.raises(ValidationError):
             Trace(("p",), ((1.5,),))
 
+    def test_derived_fields_are_not_constructor_arguments(self):
+        # a caller-supplied atom index would let an undeclared atom read
+        # another atom's column
+        with pytest.raises(TypeError):
+            Trace(("p", "q"), ((0.5, 0.25),), None, {"r": 1})
+        with pytest.raises(TypeError):
+            Trace(("p",), ((0.5,),), _index={"r": 0})
+        with pytest.raises(TypeError):
+            Trace(("p",), ((0.5,),), _length=5)
+        trace = Trace(("p", "q"), ((0.5, 0.25),))
+        assert trace._index == {"p": 0, "q": 1} and len(trace) == 1
+        ctx = EvalContext(trace, Interpretation.ZADEH, AvoidingFunction.crisp())
+        assert evaluate(ctx, Atom("q"), 0).value == 0.25
+        with pytest.raises(UnknownAtom):
+            evaluate(ctx, Atom("r"), 0)
+
 
 def trace_outcome(build) -> str:
     """What building a trace gives: its stored values as ``float.hex`` (so
@@ -273,6 +296,10 @@ class TestFormulaNodes:
         assert AlwaysB(2, Atom("p")) == AlwaysB(2, Atom("p"))
         assert AlwaysB(2, Atom("p")) != AlwaysB(3, Atom("p"))
         assert hash(Next(Atom("p"))) == hash(Next(Atom("p")))
+        p = Atom("p")
+        assert And(p, p) != Or(p, p) and Top() != Bot()
+        assert EventuallyB(2, p) != Eventually(p)
+        assert (Atom("p") == "p") is False and Atom("p") != ("p",)
 
     def test_children_and_rebuild(self):
         f = UntilB(2, Atom("p"), Next(Atom("q")))
@@ -304,8 +331,8 @@ class TestFormulaNodes:
         assert f.size == 2**101 - 1
 
     def test_size_leaves_eq_hash_and_repr_alone(self):
-        (size,) = [f for f in dataclasses.fields(Formula)]
-        assert (size.name, size.init, size.compare, size.repr) == ("size", False, False, False)
+        with pytest.raises(TypeError):
+            Atom("p", 1)  # size is not a constructor argument
         p = Atom("p")
         assert hash(p) == hash(("p",))
         assert hash(Next(p)) == hash((p,))
@@ -322,6 +349,100 @@ class TestFormulaNodes:
         assert OPERATORS[Scale].param == "index"
         assert OPERATORS[UntilB].param == "bound"
         assert OPERATORS[UntilB].children == ("left", "right")
+
+
+DEPTH = 10**5
+
+
+def not_chain(leaf: Formula, depth: int = DEPTH) -> Formula:
+    f = leaf
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def until_spine(leaf: Formula, depth: int = DEPTH) -> Formula:
+    """``depth`` bounded untils nested down the left, bounds 0, 1, 2, 0, ..."""
+    f = leaf
+    for k in range(depth):
+        f = UntilB(k % 3, f, Atom("q"))
+    return f
+
+
+class TestDeepNodes:
+    """Hash, ==, repr and size end without recursion at any depth."""
+
+    @pytest.mark.parametrize("build", [not_chain, until_spine], ids=["not-chain", "until-spine"])
+    def test_hash_eq_and_dict_key(self, build):
+        f, same, other = build(Atom("p")), build(Atom("p")), build(Atom("r"))
+        assert f is not same
+        assert hash(f) == hash(same)
+        assert f == same and not f != same
+        assert f != other and not f == other
+        assert {f: 1}[same] == 1
+        assert other not in {f: 1}
+        assert f.size == (DEPTH + 1 if build is not_chain else 2 * DEPTH + 1)
+
+    def test_repr_of_a_not_chain(self):
+        text = repr(not_chain(Atom("p")))
+        assert len(text) == len("Not(arg=)") * DEPTH + len("Atom(name='p')")
+        assert text.startswith("Not(arg=Not(arg=Not(arg=")
+        assert text.endswith("Not(arg=Atom(name='p')" + ")" * DEPTH)
+
+    def test_repr_of_an_until_spine(self):
+        text = repr(until_spine(Atom("p")))
+        head = sum(len(f"UntilB(bound={k % 3}, left=") for k in range(DEPTH))
+        assert len(text) == head + len("Atom(name='p')") + DEPTH * len(", right=Atom(name='q'))")
+        assert text.startswith(
+            f"UntilB(bound={(DEPTH - 1) % 3}, left=UntilB(bound={(DEPTH - 2) % 3}, left="
+        )
+        assert text.endswith(
+            "left=UntilB(bound=0, left=Atom(name='p'), right=Atom(name='q'))"
+            + ", right=Atom(name='q'))" * (DEPTH - 1)
+        )
+
+    def test_pickle_and_copy_round_trip(self):
+        f = UntilB(2, Not(Atom("p")), Scale(1, WeakOr(Top(), Bot())))
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f) and g.size == f.size
+
+
+class TestNodeClasses:
+    def test_classes_come_from_their_rows(self):
+        for cls, spec in OPERATORS.items():
+            assert not dataclasses.is_dataclass(cls)
+            assert getattr(core, cls.__name__) is cls
+            assert (cls.__module__, cls.__qualname__) == ("fuzzytl.core", cls.__name__)
+            assert cls.__bases__ == (Formula,) and cls.__doc__
+            params = () if spec.param is None else (spec.param,)
+            if cls is Atom:
+                params = ("name",)
+            assert cls.__match_args__ == params + spec.children
+
+    def test_every_kind_builds_by_position_and_by_keyword(self):
+        rng = random.Random(7)
+        for cls, spec in OPERATORS.items():
+            args = {"name": "p"} if cls is Atom else {}
+            if spec.param is not None:
+                args[spec.param] = rng.randint(1, 3)
+            args.update((name, Atom(name)) for name in spec.children)
+            f = cls(**args)
+            assert f == cls(*args.values()) == pickle.loads(pickle.dumps(f))
+            assert hash(f) == hash(tuple(args.values()))
+            assert f.size == 1 + len(spec.children)
+            assert not hasattr(f, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.size = 3
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del f.size
+            assert tuple(getattr(f, name) for name in cls.__match_args__) == tuple(args.values())
+
+    def test_class_patterns_match_positionally(self):
+        match UntilB(2, Atom("p"), Next(Atom("q"))):
+            case UntilB(bound, Atom(name), Next(Atom(inner))):
+                assert (bound, name, inner) == (2, "p", "q")
+            case _:
+                pytest.fail("UntilB did not match its own pattern")
 
 
 def test_operator_table_has_one_row_and_one_handler_per_node_class():

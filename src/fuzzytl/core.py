@@ -56,7 +56,8 @@ class Formula:
 
     ``size`` (the expanded tree's node count) and the hash (that of the tuple
     of fields) are set at construction in O(1).  ``size`` takes no part in
-    ``==``, ``hash`` or ``repr``; ``==`` and ``repr`` walk a stack, not recurse."""
+    ``==``, ``hash`` or ``repr``; ``==``, ``repr`` and pickling walk a stack,
+    not recurse.  ``copy`` and ``deepcopy`` return the node itself."""
 
     __slots__ = ("size", "_hash")
 
@@ -103,8 +104,35 @@ class Formula:
                     stack.append(", ")
         return "".join(parts)
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # the distinct nodes in post-order, each child as the index of its row
+        rows, index, stack = [], {}, [self]
+        while stack:
+            f = stack.pop()
+            if f is not None:  # first visit: its children, then None, then it
+                if id(f) not in index:
+                    stack += (f, None, *reversed(OPERATORS[type(f)].get_children(f)))
+                continue
+            f = stack.pop()
+            kids = OPERATORS[type(f)].get_children(f)
+            params = tuple(map(f.__getattribute__, f.__match_args__[: -len(kids) or None]))
+            index[id(f)] = len(rows)
+            rows.append((type(f), params, tuple([index[id(k)] for k in kids])))
+        return _rebuild, (rows,)
+
+
+def _rebuild(rows):
+    """The last node of a ``Formula.__reduce__`` row list."""
+    nodes = []
+    for cls, params, kids in rows:
+        nodes.append(cls(*params, *map(nodes.__getitem__, kids)))
+    return nodes[-1]
 
 
 def _check_bound(t: int) -> None:

@@ -8,6 +8,7 @@ One ``evaluate`` call keeps a value column per subformula it touches.  A
 window reads its child as one span of that column, and every missing run of
 the span is filled by one call of the child's handler, which computes the
 whole run ``[lo, hi)`` at once; a point evaluation is a run of length 1.
+A point F or G reads growing spans and stops once its fold cannot change.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def _window_tags(tags, n: int, width: int):
     return [functools.reduce(_combine, set(tags[i : i + width]), _EXACT) for i in range(n)]
 
 
-#: Connective -> a C-level operation giving the same bits: min and max keep
-#: the first of equal values, as _minimum and _maximum do.
-_C_BINARY = {algebra._minimum: min, algebra._maximum: max, algebra._prod_tnorm: mul}
+#: Connective -> a C-level operation giving the same bits.  Builtin min and
+#: max only fold lists (_C_FOLDS): as two-argument steps they are slower than
+#: _minimum and _maximum.
+_C_BINARY = {algebra._prod_tnorm: mul}
 
 #: Interpretation -> binary connective class -> its operation.  && and || are
 #: the exact lattice min and max; algebra.weak_and and weak_or reach them
@@ -134,8 +136,8 @@ _BINARY = {
         And: _C_BINARY.get(ops.tnorm, ops.tnorm),
         Or: _C_BINARY.get(ops.tconorm, ops.tconorm),
         Implies: ops.implies,
-        WeakAnd: min,
-        WeakOr: max,
+        WeakAnd: algebra._minimum,
+        WeakOr: algebra._maximum,
     }
     for interp, ops in ((i, algebra.ops_for(i)) for i in Interpretation)
 }
@@ -328,7 +330,7 @@ def _drop_estimates(tnorm, weights, values, kept):
     return None
 
 
-def _best_drop(interp, tnorm, weights, values, kept, offset: int = 0) -> float:
+def _best_drop(tnorm, weights, values, kept, offset: int = 0) -> float:
     """max over j < len(kept) of weights[j] * the t-norm fold of ``values``
     without the positions of kept[:j] (offset by ``offset``), folded in
     position order; the first best j wins.
@@ -337,7 +339,7 @@ def _best_drop(interp, tnorm, weights, values, kept, offset: int = 0) -> float:
     _drop_estimates cannot rule out are folded, and a j it knows to be +0.0
     is not folded, so the value and its bits are those of folding every j.
     """
-    if interp in _IDEMPOTENT:
+    if tnorm is algebra._minimum:
         # the window product minus j smallest is just the (j+1)-th smallest
         return max(map(mul, [v for v, _ in kept], weights))
     # with two candidates the bounds cost about the one fold they can save
@@ -653,11 +655,52 @@ def _h_lasts(ctx, f, lo, hi, memo):
     return out, _window_tags(tags, n, t + 1)
 
 
+#: A point fold's first read of its window (a window this wide or narrower is
+#: read whole), and the factor each later read grows what is read by: a read
+#: refills the overlap of the child's own windows, so fewer reads cost less.
+_FIRST_CHUNK = 64
+_GROWTH = 4
+
+#: Fold -> the value it keeps bit for bit once reached: min and max never
+#: replace a value by an equal one; then the absorbing elements.  The Product
+#: t-norm has none: 0.0 * -0.0 is -0.0.
+_SATURATED = {algebra._minimum: 0.0, algebra._maximum: 1.0, **_ABSORBING}
+
+
+def _point_fold(ctx, arg, pos, width, op, memo):
+    """The left fold of ``op`` over ``arg`` at pos .. pos+width-1, and its
+    joined exactness.
+
+    Reads the child in growing chunks and stops once the fold is saturated
+    and every chunk was exact (a node is exact at every position or at none).
+    Under the strict policy a finite trace's window is read whole: how far it
+    reaches decides HorizonExceedsTrace.  Any other error a window meets, it
+    meets at its first position, which is always read.
+    """
+    final = _SATURATED.get(op)
+    read = width
+    if final is not None and (ctx.trace.is_lasso or ctx.finite_policy is FinitePolicy.PAD_ZERO):
+        read = min(width, _FIRST_CHUNK)
+    values, tags = _span(ctx, arg, pos, read, memo)
+    acc = _fold(op, values)
+    tag = functools.reduce(_combine, set(tags or ()), _EXACT)
+    while read < width and (acc != final or tag is not _EXACT):
+        chunk = width - read if tag is not _EXACT else min(width - read, read * (_GROWTH - 1))
+        values, tags = _span(ctx, arg, pos + read, chunk, memo)
+        acc = _fold(op, chain((acc,), values))
+        tag = functools.reduce(_combine, set(tags or ()), tag)
+        read += chunk
+    return acc, tag
+
+
 def _fold_window(ctx, f, lo, hi, t, memo, unit):
     """F[t] (unit 0.0, the t-conorm) or G[t] (unit 1.0, the t-norm)."""
     n = hi - lo
-    values, tags = _span(ctx, f.arg, lo, n + t, memo)
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
+    if n == 1:
+        v, tag = _point_fold(ctx, f.arg, lo, t + 1, op, memo)
+        return [v], None if tag is _EXACT else [tag]
+    values, tags = _span(ctx, f.arg, lo, n + t, memo)
     return _slide(op, values, n, t + 1), _window_tags(tags, n, t + 1)
 
 
@@ -666,13 +709,13 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     weights = ctx.eta.table
     keep = min(t, len(weights) - 1) + 1
-    interp, tnorm = ctx.interp, ctx.ops.tnorm
+    tnorm = ctx.ops.tnorm
     # the window's (value, position) pairs, ascending: ties go to the earliest
     # position, so its first `keep` entries are what _select_smallest keeps
     window = sorted(zip(values[: t + 1], count()))
     out = []
     for i in range(n):
-        out.append(_best_drop(interp, tnorm, weights, values[i : i + t + 1], window[:keep], i))
+        out.append(_best_drop(tnorm, weights, values[i : i + t + 1], window[:keep], i))
         if i + 1 < n:
             del window[bisect_left(window, (values[i], i))]
             insort(window, (values[i + t + 1], i + t + 1))
@@ -783,31 +826,32 @@ def _largest_window(ctx, pos: int) -> int:
     return max(0, len(ctx.trace) - 1 - pos)
 
 
-def _suffix_values(ctx, arg, pos, memo):
-    """Child values along the suffix: the pre-loop stretch and one period."""
-    trace = ctx.trace
+def _suffix(trace, pos):
+    """Where the suffix from ``pos`` starts, and its pre-loop stretch's length;
+    one period of the loop follows that stretch."""
     start = trace.resolve(pos)
-    ls = trace.loop_start
-    prefix = _span(ctx, arg, start, max(0, ls - start), memo)[0]
-    loop = _span(ctx, arg, max(start, ls), trace.loop_length, memo)[0]
-    return prefix, loop
+    return start, max(0, trace.loop_start - start)
 
 
 def _unb_fold(ctx, f, pos, memo, unit):
     """Lasso F (unit 0.0) or G (unit 1.0)."""
-    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
+    start, head = _suffix(ctx.trace, pos)
+    period = ctx.trace.loop_length
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.interp in _IDEMPOTENT:
-        return _fold(op, prefix + loop)
-    if all(v == unit for v in loop):
-        return _fold(op, prefix) if prefix else unit
-    # any other loop value recurs forever and drives the fold to the absorbing
-    # element: 0 for the t-norm, 1 for the t-conorm
-    return 1.0 - unit
+        return _point_fold(ctx, f.arg, start, head + period, op, memo)[0]
+    loop = _span(ctx, f.arg, start + head, period, memo)[0]
+    if loop.count(unit) < len(loop):
+        # a loop value other than the unit recurs forever and drives the fold
+        # to the absorbing element: 0 for the t-norm, 1 for the t-conorm
+        return 1.0 - unit
+    return _point_fold(ctx, f.arg, start, head, op, memo)[0] if head else unit
 
 
 def _unb_almost_always(ctx, f, pos, memo, _):
-    prefix, loop = _suffix_values(ctx, f.arg, pos, memo)
+    start, head = _suffix(ctx.trace, pos)
+    values = _span(ctx, f.arg, start, head + ctx.trace.loop_length, memo)[0]
+    prefix, loop = values[:head], values[head:]
     eta = ctx.eta
     best = None
     if ctx.interp in _IDEMPOTENT:
@@ -974,7 +1018,7 @@ def almost_always_fast(
     kept = _select_smallest(values, keep, counter)
     if counter is not None:
         counter.count += keep  # one candidate per avoidance count
-    return _best_drop(ctx.interp, ctx.ops.tnorm, ctx.eta.table, values, kept)
+    return _best_drop(ctx.ops.tnorm, ctx.eta.table, values, kept)
 
 
 def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDegree:

@@ -17,6 +17,7 @@ from fuzzytl.core import (
     Eventually,
     EventuallyB,
     Formula,
+    Implies,
     Interpretation,
     Next,
     Not,
@@ -403,8 +404,32 @@ class TestDeepNodes:
 
     def test_pickle_and_copy_round_trip(self):
         f = UntilB(2, Not(Atom("p")), Scale(1, WeakOr(Top(), Bot())))
-        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            g = pickle.loads(pickle.dumps(f, protocol))
             assert g == f and hash(g) == hash(f) and repr(g) == repr(f) and g.size == f.size
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+    @pytest.mark.parametrize("build", [not_chain, until_spine], ids=["not-chain", "until-spine"])
+    def test_deep_pickle_and_copy_round_trip(self, build):
+        f = build(Atom("p"))
+        g = pickle.loads(pickle.dumps(f))
+        assert g is not f and g == f and hash(g) == hash(f) and g.size == f.size
+        assert copy.copy(f) is f and copy.deepcopy([f])[0] is f
+
+    def test_pickle_keeps_shared_subtrees_shared(self):
+        shared = And(Atom("p"), Next(Atom("q")))
+        f = Or(shared, Implies(Not(shared), shared))
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g.left is g.right.left.arg is g.right.right
+        dag = Atom("p")
+        for _ in range(200):  # 2^200 nodes expanded, 201 distinct
+            dag = Or(dag, dag)
+        h = pickle.loads(pickle.dumps(dag))
+        assert hash(h) == hash(dag) and h.size == dag.size == 2**201 - 1
+        for _ in range(200):
+            assert type(h) is Or and h.left is h.right
+            h = h.left
+        assert h == Atom("p")
 
 
 class TestNodeClasses:

@@ -13,6 +13,7 @@ from fuzzytl.core import (
     AlmostAlways,
     AlmostAlwaysB,
     AlmostUntil,
+    Always,
     AlwaysB,
     And,
     Atom,
@@ -872,6 +873,125 @@ def test_bounded_almost_always_matches_the_full_refold(interp, t):
         for _ in range((48 if t <= 60 else 8) if keep > 1 else 0):
             window = _designed_window(rng, interp, eta.table, t + 1, keep)
             _check_ag_against_the_full_refold(interp, eta, t, window, 1)
+
+
+def _range_read(ctx, f, pos, n):
+    """The values of ``f`` at positions pos .. pos+n-1 and their tags, from one
+    range fill that raises the error a position-by-position read meets first."""
+    return evaluator._run(ctx, pos, lambda memo: evaluator._span(ctx, f, pos, n, memo))
+
+
+def _full_fold_line(ctx, f, pos):
+    """The outcome line of the F/G formula ``f`` at ``pos`` from a full read:
+    one range fill of the child's whole window, folded by functools.reduce."""
+    trace = ctx.trace
+    unit = 1.0 if isinstance(f, (Always, AlwaysB)) else 0.0
+    op = ctx.ops.tnorm if unit else ctx.ops.tconorm
+    tag = Exactness.EXACT
+    try:
+        if isinstance(f, (AlwaysB, EventuallyB)):
+            values, tags = _range_read(ctx, f.arg, pos, f.bound + 1)
+        elif trace.is_lasso:
+            start = trace.resolve(pos)
+            pre = max(0, trace.loop_start - start)
+            values, tags = _range_read(ctx, f.arg, start, pre + trace.loop_length)
+            if ctx.interp in (L, P):  # the loop recurs forever
+                if any(v != unit for v in values[pre:]):
+                    values = [1.0 - unit]
+                elif not pre:
+                    values = [unit]
+                else:
+                    values = values[:pre]
+        else:  # the largest window, bounded by its direction
+            start = min(pos, len(trace))
+            values, tags = _range_read(ctx, f.arg, start, max(1, len(trace) - start))
+            tag = Exactness.UPPER_BOUND if unit else Exactness.LOWER_BOUND
+        value = functools.reduce(op, values)
+        tag = functools.reduce(evaluator._combine, tags or (), tag)
+    except FtlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{value.hex()} {tag.value}"
+
+
+def _saturation_trace(rng, n=900, at=320):
+    """Atoms whose F or G folds saturate at position ``at`` and nowhere else
+    before the loop: ``a`` near 1 with 0.0 there and -0.0 at 700 (which a
+    Product G must reach), ``b`` near 1 with -0.0 then 0.0, ``c`` near 0
+    (0.0 and -0.0 among them) with 1.0 there; ``u`` and ``z`` as ``a`` and
+    ``c`` up to 600, then exactly 1.0 and signed zeros, and ``v`` and ``w``
+    as ``u`` and ``z`` but for one last value; ``r`` off-grid with 0.0, -0.0
+    and 1.0 sprinkled."""
+    near_one = [1.0 - rng.randrange(8) * 2.0**-40 for _ in range(n)]
+    near_zero = [rng.randrange(8) * 2.0**-40 or (0.0, -0.0)[i % 2] for i in range(n)]
+    a, b, c = near_one[:], near_one[:], near_zero[:]
+    a[at], a[700], b[at], b[at + 1], c[at] = 0.0, -0.0, -0.0, 0.0, 1.0
+    u = a[:600] + [1.0] * (n - 600)
+    z = c[:600] + [(0.0, -0.0)[i % 2] for i in range(n - 600)]
+    v, w = u[:-1] + [1.0 - 2.0**-40], z[:-1] + [2.0**-40]
+    r = [rng.random() for _ in range(n)]
+    for x in (0.0, -0.0, 1.0) * 4:
+        r[rng.randrange(n)] = x
+    return Trace(("a", "b", "c", "u", "z", "v", "w", "r"), tuple(zip(a, b, c, u, z, v, w, r)))
+
+
+#: F/G heads whose windows span a point fold's chunk boundaries, alone, over
+#: unbounded children (inexact on a finite trace) and over unknown atoms read
+#: inside the trace or only past its end.
+POINT_FOLD_FORMULAS = tuple(
+    f"{head}[{t}] {arg}"
+    for t in (63, 64, 65, 200, 700)
+    for head, arg in (("G", "a"), ("G", "b"), ("F", "c"), ("G", "r"), ("F", "r"))
+) + (
+    "G a", "G b", "F c", "G r", "F r", "G u", "F u", "G z", "F z", "G v", "F w",
+    "G[64] (F c)", "F[65] (G a)", "G[63] (c -> G a)",
+    "G[200] zz", "F[64] (X[1000] zz)", "G[700] (X[400] zz)",
+)
+#: Window starts 320 - d, for d on both sides of chunk boundaries, and later.
+POINT_FOLD_POSITIONS = (
+    *(320 - d for d in (0, 1, 62, 63, 64, 65, 127, 128, 255, 256, 257, 320)),
+    321, 500, 599, 600, 899, 900,
+)
+
+
+def point_fold_outcomes():
+    """(outcome line of ``evaluate``, line of the full read) per case, over
+    all four interpretations on finite pad-zero, finite strict and lasso
+    traces."""
+    rng = random.Random(14)
+    finite = _saturation_trace(rng)
+    lasso = Trace(finite.atoms, finite.states, 600)
+    formulas = [parse(text) for text in POINT_FOLD_FORMULAS]
+    out = []
+    cases = ((finite, FinitePolicy.PAD_ZERO), (finite, FinitePolicy.STRICT), (lasso, None))
+    for trace, policy in cases:
+        for interp in (Z, G, L, P):
+            ctx = ctx_for(trace, interp, ETA_3, policy or FinitePolicy.STRICT)
+            for f in formulas:
+                for pos in POINT_FOLD_POSITIONS:
+                    if pos >= len(trace) and policy is FinitePolicy.STRICT:
+                        continue  # PositionOutOfRange before any read
+                    try:
+                        r = evaluate(ctx, f, pos)
+                        got = f"{r.value.hex()} {r.exactness.value}"
+                    except FtlError as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    out.append((got, _full_fold_line(ctx, f, pos)))
+    return out
+
+
+#: sha256 of the ``evaluate`` lines of ``point_fold_outcomes()``, taken when
+#: every point F/G read its child's whole window.
+POINT_FOLD_DIGEST = "c5fca2c405d49816f1bf6082cf7d7ce851c3090c38f830fb5899715c7f2726d6"
+
+
+def test_point_folds_match_the_full_read():
+    """A point F/G that stops reading its child once the fold is saturated
+    gives the value, tag and error of folding its whole window."""
+    outcomes = point_fold_outcomes()
+    mismatches = [pair for pair in outcomes if pair[0] != pair[1]]
+    assert not mismatches, mismatches[:5]
+    lines = "\n".join(got for got, _ in outcomes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == POINT_FOLD_DIGEST
 
 
 class TestFormulaTooDeep:

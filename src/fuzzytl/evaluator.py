@@ -8,7 +8,8 @@ One ``evaluate`` call keeps a value column per subformula it touches.  A
 window reads its child as one span of that column, and every missing run of
 the span is filled by one call of the child's handler, which computes the
 whole run ``[lo, hi)`` at once; a point evaluation is a run of length 1.
-A point F or G reads growing spans and stops once its fold cannot change.
+A point F or G, and a lasso limit, reads growing spans and stops once its
+value is decided.
 """
 
 from __future__ import annotations
@@ -655,9 +656,9 @@ def _h_lasts(ctx, f, lo, hi, memo):
     return out, _window_tags(tags, n, t + 1)
 
 
-#: A point fold's first read of its window (a window this wide or narrower is
-#: read whole), and the factor each later read grows what is read by: a read
-#: refills the overlap of the child's own windows, so fewer reads cost less.
+#: A chunked read's first chunk (a read this wide or narrower is one chunk),
+#: and the factor each later chunk grows what is read by: a read refills the
+#: overlap of the child's own windows, so fewer reads cost less.
 _FIRST_CHUNK = 64
 _GROWTH = 4
 
@@ -667,29 +668,37 @@ _GROWTH = 4
 _SATURATED = {algebra._minimum: 0.0, algebra._maximum: 1.0, **_ABSORBING}
 
 
+def _chunks(ctx, arg, pos, width, memo):
+    """``arg``'s spans (values, tags) covering pos .. pos+width-1 in growing
+    chunks, for a reader that may stop once its value is decided.  Under the
+    strict policy a finite trace's window is one chunk: how far it reaches
+    decides HorizonExceedsTrace.  Any other error is met at the first
+    position, which is always read."""
+    strict = ctx.finite_policy is FinitePolicy.STRICT and not ctx.trace.is_lasso
+    read, n = 0, width if strict else _FIRST_CHUNK
+    while read < width:
+        n = min(n, width - read)
+        yield _span(ctx, arg, pos + read, n, memo)
+        read += n
+        n = read * (_GROWTH - 1)
+
+
 def _point_fold(ctx, arg, pos, width, op, memo):
     """The left fold of ``op`` over ``arg`` at pos .. pos+width-1, and its
-    joined exactness.
-
-    Reads the child in growing chunks and stops once the fold is saturated
-    and every chunk was exact (a node is exact at every position or at none).
-    Under the strict policy a finite trace's window is read whole: how far it
-    reaches decides HorizonExceedsTrace.  Any other error a window meets, it
-    meets at its first position, which is always read.
-    """
+    joined exactness, read in chunks until the fold is saturated and every
+    chunk was exact (a node is exact at every position or at none).  A fold
+    with no saturated value reads its window at once."""
     final = _SATURATED.get(op)
-    read = width
-    if final is not None and (ctx.trace.is_lasso or ctx.finite_policy is FinitePolicy.PAD_ZERO):
-        read = min(width, _FIRST_CHUNK)
-    values, tags = _span(ctx, arg, pos, read, memo)
-    acc = _fold(op, values)
-    tag = functools.reduce(_combine, set(tags or ()), _EXACT)
-    while read < width and (acc != final or tag is not _EXACT):
-        chunk = width - read if tag is not _EXACT else min(width - read, read * (_GROWTH - 1))
-        values, tags = _span(ctx, arg, pos + read, chunk, memo)
-        acc = _fold(op, chain((acc,), values))
+    if final is None:
+        spans = [_span(ctx, arg, pos, width, memo)]
+    else:
+        spans = _chunks(ctx, arg, pos, width, memo)
+    acc, tag = None, _EXACT
+    for values, tags in spans:
+        acc = _fold(op, values if acc is None else chain((acc,), values))
         tag = functools.reduce(_combine, set(tags or ()), tag)
-        read += chunk
+        if acc == final and tag is _EXACT:
+            break
     return acc, tag
 
 
@@ -840,23 +849,22 @@ def _unb_fold(ctx, f, pos, memo, unit):
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.interp in _IDEMPOTENT:
         return _point_fold(ctx, f.arg, start, head + period, op, memo)[0]
-    loop = _span(ctx, f.arg, start + head, period, memo)[0]
-    if loop.count(unit) < len(loop):
-        # a loop value other than the unit recurs forever and drives the fold
-        # to the absorbing element: 0 for the t-norm, 1 for the t-conorm
-        return 1.0 - unit
+    for loop, _ in _chunks(ctx, f.arg, start + head, period, memo):
+        if loop.count(unit) < len(loop):
+            # a loop value other than the unit recurs forever and drives the
+            # fold to the absorbing element: 0 for the t-norm, 1 for the t-conorm
+            return 1.0 - unit
     return _point_fold(ctx, f.arg, start, head, op, memo)[0] if head else unit
 
 
 def _unb_almost_always(ctx, f, pos, memo, _):
     start, head = _suffix(ctx.trace, pos)
-    values = _span(ctx, f.arg, start, head + ctx.trace.loop_length, memo)[0]
-    prefix, loop = values[:head], values[head:]
     eta = ctx.eta
     best = None
     if ctx.interp in _IDEMPOTENT:
-        loop_min = min(loop)
-        sp = sorted(prefix)
+        values = _span(ctx, f.arg, start, head + ctx.trace.loop_length, memo)[0]
+        loop_min = min(values[head:])
+        sp = sorted(values[:head])
         for j in range(eta.n_eta):
             if j < len(sp):
                 gj = sp[j] if sp[j] < loop_min else loop_min
@@ -866,39 +874,56 @@ def _unb_almost_always(ctx, f, pos, memo, _):
             if best is None or cand > best:
                 best = cand
         return best
-    if all(v == 1.0 for v in loop):
-        # dropping the j smallest prefix values retains sp[j:]; folding from
-        # the back prices every j with one t-norm
-        tnorm = ctx.ops.tnorm
-        sp = sorted(prefix)
-        best = eta.lookup(len(sp))  # every prefix value dropped; only 1s remain
-        gj = None
-        for j in range(len(sp) - 1, -1, -1):
-            gj = sp[j] if gj is None else tnorm(sp[j], gj)
-            cand = scale(gj, eta.lookup(j))
-            if cand > best:
-                best = cand
-        return best
-    return 0.0
+    for loop, _ in _chunks(ctx, f.arg, start + head, ctx.trace.loop_length, memo):
+        if loop.count(1.0) < len(loop):
+            return 0.0
+    # dropping the j smallest prefix values retains sp[j:]; folding from the
+    # back prices every j with one t-norm
+    tnorm = ctx.ops.tnorm
+    sp = sorted(_span(ctx, f.arg, start, head, memo)[0])
+    best = eta.lookup(len(sp))  # every prefix value dropped; only 1s remain
+    gj = None
+    for j in range(len(sp) - 1, -1, -1):
+        gj = sp[j] if gj is None else tnorm(sp[j], gj)
+        cand = scale(gj, eta.lookup(j))
+        if cand > best:
+            best = cand
+    return best
 
 
 def _unb_until(ctx, f, pos, memo, hold):
-    # from the min_k-th prefix on the held fold never increases, so every
-    # candidate one full loop later is dominated; scanning the pre-loop
-    # stretch (at least min_k values) plus one period reaches the exact limit
-    left, right = f.left, f.right
+    """Lasso U or AU.  From the min_k-th prefix on the held fold never
+    increases, so every candidate one full loop later is dominated: the
+    pre-loop stretch (at least min_k values) plus one period holds the limit.
+    ``right`` is read in chunks; the scan stops once the held fold is at most
+    the best, or, with ``right`` read whole, once the best reaches every cap
+    ahead (see _until_window)."""
     fold, min_k = hold(ctx)
     step = ctx._binary[And]
     trace = ctx.trace
     start = trace.resolve(pos)
-    best = _eval(ctx, right, start, memo)[0]
-    held = fold((_eval(ctx, left, p, memo)[0] for p in count(start)), step)
-    for k, h in zip(range(1, max(trace.loop_start - start, min_k) + trace.loop_length + 1), held):
-        if k >= min_k and h <= best:
-            break  # no later candidate can beat the held fold that caps it
-        cand = step(h, _eval(ctx, right, start + k, memo)[0])
-        if cand > best:
-            best = cand
+    scan = max(trace.loop_start - start, min_k) + trace.loop_length + 1
+    held = fold((_eval(ctx, f.left, p, memo)[0] for p in count(start)), step)
+    best, k = None, 0
+    for right, _ in _chunks(ctx, f.right, start, scan, memo):
+        caps = repeat(math.inf)
+        if k + len(right) == scan:
+            # the largest right value after each k, -1.0 after the last
+            later = reversed(list(accumulate(reversed(right[1:]), max, initial=-1.0)))
+            caps = map(step, repeat(1.0), later)
+        for r, cap in zip(right, caps):
+            if k:
+                h = next(held)
+                if k >= min_k and h <= best:
+                    return best  # no later candidate can beat the held fold that caps it
+                cand = step(h, r)
+                if cand > best:
+                    best = cand
+            else:
+                best = r
+            if best >= cap:
+                return best
+            k += 1
     return best
 
 

@@ -3,10 +3,10 @@
 Subcommands raise their errors; ``main`` alone prints one stderr line
 ``<kind>: <message>`` and exits with the kind's code, read from ``_FAILURES``:
 1 syntax error, 2 validation error (a trace, eta spec, demo length or case
-count), 4 not lowerable, 3 evaluation error (any other FtlError, a formula
-nested too deep to parse or evaluate included).  ``budget exceeded; partial
-form: ...`` exits 4 and a law-suite failure 5; rewrite's bad ``--target``
-and gen-demo's ``cannot write`` print their own line and exit 2.
+count, a bad, unknown or unsound rewrite ``--target``, an unwritable
+gen-demo ``--out``), 4 not lowerable, 3 evaluation error (any other FtlError,
+a formula nested too deep to parse or evaluate included).  ``budget
+exceeded; partial form: ...`` exits 4 and a law-suite failure 5.
 """
 
 from __future__ import annotations
@@ -156,17 +156,14 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         name = args.target[len("rule:"):]
         rules = rule_set(eta)
         if name not in rules:
-            print(f"unknown rule {name!r}; rules: {', '.join(sorted(rules))}", file=sys.stderr)
-            return _EXIT_VALIDATION
+            raise ValidationError(f"unknown rule {name!r}; rules: {', '.join(sorted(rules))}")
         rule = rules[name]
         if interp not in rule.applicable_interps:
             allowed = ", ".join(sorted(i.value for i in rule.applicable_interps))
-            print(f"rule {name!r} is only sound under: {allowed}", file=sys.stderr)
-            return _EXIT_VALIDATION
+            raise ValidationError(f"rule {name!r} is only sound under: {allowed}")
         rewritten = rewrite_once(formula, rule)
     else:
-        print(f"bad --target {args.target!r}; use 'adequate' or 'rule:<name>'", file=sys.stderr)
-        return _EXIT_VALIDATION
+        raise ValidationError(f"bad --target {args.target!r}; use 'adequate' or 'rule:<name>'")
 
     print(format_formula(rewritten))
     if args.verify:
@@ -205,8 +202,7 @@ def cmd_gen_demo(args: argparse.Namespace) -> int:
     try:
         save_trace(trace, args.out)
     except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+        raise ValidationError(f"cannot write {args.out!r}: {exc}") from exc
     print(f"wrote {args.minutes}-state trace to {args.out}")
     return _EXIT_OK
 

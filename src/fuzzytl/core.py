@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
 
@@ -358,10 +358,6 @@ class AvoidingFunction:
         if i < len(self.table):
             return self.table[i]
         return 0.0
-
-    @classmethod
-    def from_values(cls, values: Iterable[float]) -> "AvoidingFunction":
-        return cls(tuple(values))
 
     @classmethod
     def crisp(cls) -> "AvoidingFunction":

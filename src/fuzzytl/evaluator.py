@@ -29,30 +29,12 @@ from .algebra import ConnectiveOps, scale
 from .core import (
     ETA_ATOM_PREFIX,
     OPERATORS,
-    AlmostAlways,
-    AlmostUntil,
-    Always,
-    And,
-    Atom,
     AvoidingFunction,
-    Bot,
-    Eventually,
     Formula,
-    Implies,
     Interpretation,
-    Lasts,
-    Next,
-    Not,
-    Or,
-    Scale,
-    Soon,
-    Top,
+    Level,
     TruthDegree,
     Trace,
-    Until,
-    WeakAnd,
-    WeakOr,
-    Within,
 )
 from .errors import (
     FormulaTooDeep,
@@ -124,21 +106,46 @@ def _window_tags(tags, n: int, width: int):
     return [functools.reduce(_combine, set(tags[i : i + width]), _EXACT) for i in range(n)]
 
 
-#: Connective -> a C-level operation giving the same bits.  Builtin min and
-#: max only fold lists (_C_FOLDS): as two-argument steps they are slower than
-#: _minimum and _maximum.
-_C_BINARY = {algebra._prod_tnorm: mul}
+#: Connective -> (step, C fold, saturated, drops):
+#:
+#: - step: the same bits as the connective, C-level where that exists.
+#:   Builtin min and max only fold lists: as two-argument steps they are
+#:   slower than _minimum and _maximum.
+#: - C fold: a C-level left fold with the bits of folding in position order,
+#:   or None: min and max keep the first of equal values, as _minimum and
+#:   _maximum do, and math.prod multiplies left to right from 1.
+#: - saturated: the value a fold keeps bit for bit once reached, or None.
+#:   min and max never replace a value by an equal one.  The other values are
+#:   absorbing elements, which a step gives exactly (0.0 from the Lukasiewicz
+#:   t-norm's clamp, 1.0 from the t-conorms') and every later step over
+#:   [0, 1] gives again.  The Product t-norm has none: 0.0 * -0.0 is -0.0.
+#: - drops: when a monotone deque drops its back value for a new one, or
+#:   None: only when the new one is strictly better, so the first of equal
+#:   values stays in front.
+_CONNECTIVES = {
+    algebra._minimum: (algebra._minimum, min, 0.0, gt),
+    algebra._maximum: (algebra._maximum, max, 1.0, lt),
+    algebra._luk_tnorm: (algebra._luk_tnorm, None, 0.0, None),
+    algebra._luk_tconorm: (algebra._luk_tconorm, None, 1.0, None),
+    algebra._prod_tnorm: (mul, math.prod, None, None),
+    algebra._prod_tconorm: (algebra._prod_tconorm, None, 1.0, None),
+}
 
-#: Interpretation -> binary connective class -> its operation.  && and || are
-#: the exact lattice min and max; algebra.weak_and and weak_or reach them
-#: through the residuum, which rounds.
+
+#: Interpretation -> binary connective class -> its operation, by keyword.
+#: && and || are the exact lattice min and max; algebra.weak_and and weak_or
+#: reach them through the residuum, which rounds.
 _BINARY = {
     interp: {
-        And: _C_BINARY.get(ops.tnorm, ops.tnorm),
-        Or: _C_BINARY.get(ops.tconorm, ops.tconorm),
-        Implies: ops.implies,
-        WeakAnd: algebra._minimum,
-        WeakOr: algebra._maximum,
+        spec.cls: {
+            "&": _CONNECTIVES[ops.tnorm][0],
+            "|": _CONNECTIVES[ops.tconorm][0],
+            "->": ops.implies,
+            "&&": algebra._minimum,
+            "||": algebra._maximum,
+        }[spec.keyword]
+        for spec in OPERATORS.values()
+        if spec.level < Level.UNARY and spec.twin is None
     }
     for interp, ops in ((i, algebra.ops_for(i)) for i in Interpretation)
 }
@@ -215,33 +222,12 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
     return kept
 
 
-#: Connective -> a C-level left fold giving the same bits as folding it in
-#: position order: min and max keep the first of equal values, as _minimum
-#: and _maximum do, and math.prod multiplies left to right from 1.
-_C_FOLDS = {algebra._minimum: min, algebra._maximum: max, algebra._prod_tnorm: math.prod}
-
-#: The other connectives -> their absorbing element.  A step that gives it
-#: gives it exactly (0.0 from the Lukasiewicz t-norm's clamp, 1.0 from the
-#: t-conorms'), and every later step of a fold over [0, 1] gives it again,
-#: so a fold can stop there with the bits of the whole fold.
-_ABSORBING = {
-    algebra._luk_tnorm: 0.0,
-    algebra._luk_tconorm: 1.0,
-    algebra._prod_tconorm: 1.0,
-}
-
-#: min and max -> when a monotone deque drops its back value for a new one:
-#: only when the new one is strictly better, so the first of equal values
-#: stays in front.
-_DEQUE_DROPS = {algebra._minimum: gt, algebra._maximum: lt}
-
-
 def _fold(op, values) -> float:
-    """Left fold of ``op`` over non-empty ``values`` in position order."""
-    c_fold = _C_FOLDS.get(op)
+    """Left fold of ``op`` over non-empty ``values`` in position order; a
+    fold with no C fold stops at its saturated value, an absorbing element."""
+    _, c_fold, absorbing, _ = _CONNECTIVES[op]
     if c_fold is not None:
         return c_fold(values)
-    absorbing = _ABSORBING[op]
     it = iter(values)
     acc = next(it)
     for v in it:
@@ -258,7 +244,7 @@ def _slide(op, values, n: int, width: int) -> list:
     (Lemire, *Streaming Maximum-Minimum Filter*, 2006); the other folds fold
     each window, stopping at an absorbing element.
     """
-    drops = _DEQUE_DROPS.get(op)
+    drops = _CONNECTIVES[op][3]
     if drops is None or n == 1:
         return [_fold(op, values[i : i + width]) for i in range(n)]
     out = []
@@ -597,11 +583,10 @@ def _h_not(ctx, f, lo, hi, memo):
 def _h_binary(ctx, f, lo, hi, memo):
     left, ltags = _span(ctx, f.left, lo, hi - lo, memo)
     right, rtags = _span(ctx, f.right, lo, hi - lo, memo)
-    cls = type(f)
-    out = list(map(ctx._binary[cls], left, right))
+    out = list(map(ctx._binary[type(f)], left, right))
     if ltags is None and rtags is None:
         return out, None
-    if ltags is not None and cls is Implies:  # antitone in its premise
+    if ltags is not None and OPERATORS[type(f)].keyword == "->":  # antitone in its premise
         ltags = list(map(_flip, ltags))
     return out, _join(ltags, rtags)
 
@@ -610,7 +595,7 @@ def _h_next(ctx, f, lo, hi, memo):
     # unwrap next-chains iteratively so X[k] sugar cannot blow the stack
     steps = 0
     inner = f
-    while isinstance(inner, Next):
+    while type(inner) is type(f):
         steps += 1
         inner = inner.arg
     return _span(ctx, inner, lo + steps, hi - lo, memo)
@@ -643,7 +628,7 @@ def _h_lasts(ctx, f, lo, hi, memo):
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     tnorm = ctx.ops.tnorm
-    step = _C_BINARY.get(tnorm, tnorm)
+    step = _CONNECTIVES[tnorm][0]
     j_top = min(t, ctx.eta.n_eta - 1)
     weights = ctx.eta.table[: j_top + 1]
     head = t + 1 - j_top  # every j keeps at least the window's first head values
@@ -661,11 +646,6 @@ def _h_lasts(ctx, f, lo, hi, memo):
 #: overlap of the child's own windows, so fewer reads cost less.
 _FIRST_CHUNK = 64
 _GROWTH = 4
-
-#: Fold -> the value it keeps bit for bit once reached: min and max never
-#: replace a value by an equal one; then the absorbing elements.  The Product
-#: t-norm has none: 0.0 * -0.0 is -0.0.
-_SATURATED = {algebra._minimum: 0.0, algebra._maximum: 1.0, **_ABSORBING}
 
 
 def _chunks(ctx, arg, pos, width, memo):
@@ -688,7 +668,7 @@ def _point_fold(ctx, arg, pos, width, op, memo):
     joined exactness, read in chunks until the fold is saturated and every
     chunk was exact (a node is exact at every position or at none).  A fold
     with no saturated value reads its window at once."""
-    final = _SATURATED.get(op)
+    final = _CONNECTIVES[op][2]
     if final is None:
         spans = [_span(ctx, arg, pos, width, memo)]
     else:
@@ -779,7 +759,7 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
     if t == 0:
         return right[:n], tags
     fold, min_k = hold(ctx)
-    step = ctx._binary[And]  # the t-norm, C-level where the bits match
+    step = _CONNECTIVES[ctx.ops.tnorm][0]
     # each window's largest right value after right[i]: step(1.0, .) is
     # monotone, so its cap is the window's largest cap
     tops = _slide(algebra._maximum, right[1:], n, t)
@@ -803,19 +783,34 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
         elif fold is accumulate:  # until's prefix folds run in C
             best = max(chain((best,), map(step, accumulate(window, step), ahead)))
         else:
-            # the largest right value after candidate k = 1 .. t (-1.0 once
-            # none is left)
-            later = reversed(list(accumulate(reversed(ahead[1:]), max, initial=-1.0)))
-            for k, h, r, rest in zip(count(1), fold(window, step), ahead, later):
-                if exit_on_hold and k >= min_k and h <= best:
-                    break  # every later hold, so every later candidate, is at most h
-                cand = step(h, r)
-                if cand > best:
-                    best = cand
-                if best >= step(1.0, rest):
-                    break
+            pairs = zip(ahead, _caps(ahead, step))
+            best = _scan(best, pairs, fold(window, step), step, min_k, exit_on_hold)
         out.append(best)
     return out, tags
+
+
+def _caps(right, step):
+    """step(1.0, the largest value of right after q) for each q: no candidate
+    after q beats it; after the last, step(1.0, -1.0)."""
+    later = reversed(list(accumulate(reversed(right[1:]), max, initial=-1.0)))
+    return map(step, repeat(1.0), later)
+
+
+def _scan(best, pairs, held, step, min_k, exit_on_hold):
+    """The first largest of ``best`` and step(h, r) for k = 1, 2, ..., where
+    ``held`` yields the held folds h and ``pairs`` each right value r with
+    the cap after it (see _caps).  It stops once the best reaches the cap,
+    or, with ``exit_on_hold``, once a hold that can only fall (k >= min_k)
+    is at most the best.  ``pairs`` is read before ``held`` at each k."""
+    for k, (r, cap), h in zip(count(1), pairs, held):
+        if exit_on_hold and k >= min_k and h <= best:
+            break  # every later hold, so every later candidate, is at most h
+        cand = step(h, r)
+        if cand > best:
+            best = cand
+        if best >= cap:
+            break
+    return best
 
 
 def _h_scale(ctx, f, lo, hi, memo):
@@ -829,10 +824,6 @@ def _h_scale(ctx, f, lo, hi, memo):
 
 
 # -- unbounded operators -----------------------------------------------------
-
-
-def _largest_window(ctx, pos: int) -> int:
-    return max(0, len(ctx.trace) - 1 - pos)
 
 
 def _suffix(trace, pos):
@@ -849,34 +840,26 @@ def _unb_fold(ctx, f, pos, memo, unit):
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.interp in _IDEMPOTENT:
         return _point_fold(ctx, f.arg, start, head + period, op, memo)[0]
-    for loop, _ in _chunks(ctx, f.arg, start + head, period, memo):
-        if loop.count(unit) < len(loop):
-            # a loop value other than the unit recurs forever and drives the
-            # fold to the absorbing element: 0 for the t-norm, 1 for the t-conorm
-            return 1.0 - unit
+    # a loop value other than the unit recurs forever and drives the fold to
+    # the absorbing element: 0 for the t-norm, 1 for the t-conorm
+    if any(loop.count(unit) < len(loop) for loop, _ in _chunks(ctx, f.arg, start + head, period, memo)):
+        return 1.0 - unit
     return _point_fold(ctx, f.arg, start, head, op, memo)[0] if head else unit
 
 
 def _unb_almost_always(ctx, f, pos, memo, _):
     start, head = _suffix(ctx.trace, pos)
     eta = ctx.eta
-    best = None
+    period = ctx.trace.loop_length
     if ctx.interp in _IDEMPOTENT:
-        values = _span(ctx, f.arg, start, head + ctx.trace.loop_length, memo)[0]
-        loop_min = min(values[head:])
-        sp = sorted(values[:head])
-        for j in range(eta.n_eta):
-            if j < len(sp):
-                gj = sp[j] if sp[j] < loop_min else loop_min
-            else:
-                gj = loop_min  # loop values recur forever; dropping them is futile
-            cand = scale(gj, eta.lookup(j))
-            if best is None or cand > best:
-                best = cand
-        return best
-    for loop, _ in _chunks(ctx, f.arg, start + head, ctx.trace.loop_length, memo):
-        if loop.count(1.0) < len(loop):
-            return 0.0
+        values = _span(ctx, f.arg, start, head + period, memo)[0]
+        # loop values recur forever, so dropping them is futile: the j-th
+        # smallest kept is a prefix value only below the loop's minimum (the
+        # loop copies sort first, so they win a tie of 0.0 and -0.0)
+        kept = sorted([min(values[head:])] * eta.n_eta + values[:head])[: eta.n_eta]
+        return max(map(mul, kept, eta.table))
+    if any(loop.count(1.0) < len(loop) for loop, _ in _chunks(ctx, f.arg, start + head, period, memo)):
+        return 0.0
     # dropping the j smallest prefix values retains sp[j:]; folding from the
     # back prices every j with one t-norm
     tnorm = ctx.ops.tnorm
@@ -897,52 +880,46 @@ def _unb_until(ctx, f, pos, memo, hold):
     pre-loop stretch (at least min_k values) plus one period holds the limit.
     ``right`` is read in chunks; the scan stops once the held fold is at most
     the best, or, with ``right`` read whole, once the best reaches every cap
-    ahead (see _until_window)."""
+    ahead (see _scan)."""
     fold, min_k = hold(ctx)
-    step = ctx._binary[And]
+    step = _CONNECTIVES[ctx.ops.tnorm][0]
     trace = ctx.trace
     start = trace.resolve(pos)
     scan = max(trace.loop_start - start, min_k) + trace.loop_length + 1
+
+    def chunked():
+        # a cap is known only once the last chunk is read
+        read = 0
+        for right, _ in _chunks(ctx, f.right, start, scan, memo):
+            read += len(right)
+            yield from zip(right, _caps(right, step) if read == scan else repeat(math.inf))
+
+    pairs = chunked()
+    best, cap = next(pairs)
+    if best >= cap:
+        return best
     held = fold((_eval(ctx, f.left, p, memo)[0] for p in count(start)), step)
-    best, k = None, 0
-    for right, _ in _chunks(ctx, f.right, start, scan, memo):
-        caps = repeat(math.inf)
-        if k + len(right) == scan:
-            # the largest right value after each k, -1.0 after the last
-            later = reversed(list(accumulate(reversed(right[1:]), max, initial=-1.0)))
-            caps = map(step, repeat(1.0), later)
-        for r, cap in zip(right, caps):
-            if k:
-                h = next(held)
-                if k >= min_k and h <= best:
-                    return best  # no later candidate can beat the held fold that caps it
-                cand = step(h, r)
-                if cand > best:
-                    best = cand
-            else:
-                best = r
-            if best >= cap:
-                return best
-            k += 1
-    return best
+    return _scan(best, pairs, held, step, min_k, True)
 
 
-#: Unbounded class -> (window kernel, exact lasso limit, the tag of a finite
-#: trace's largest window, the argument both kernels take).  A twin family
-#: shares its kernels and differs in the argument: F and G in the unit of
-#: their fold, U and AU in the hold that folds the prefix.  Almost-always is
-#: not monotone in the horizon, so its finite result has no bound direction.
+#: Unbounded keyword -> (window kernel, exact lasso limit, the tag of a
+#: finite trace's largest window, the argument both kernels take).  A twin
+#: family shares its kernels and differs in the argument: F and G in the unit
+#: of their fold, U and AU in the hold that folds the prefix.  Almost-always
+#: is not monotone in the horizon, so its finite result has no bound direction.
 _UNBOUNDED = {
-    Eventually: (_fold_window, _unb_fold, _LOWER, 0.0),
-    Always: (_fold_window, _unb_fold, _UPPER, 1.0),
-    AlmostAlways: (_ag_window, _unb_almost_always, _APPROX, None),
-    Until: (_until_window, _unb_until, _LOWER, _prefix_fold),
-    AlmostUntil: (_until_window, _unb_until, _LOWER, _relaxed_fold),
+    "F": (_fold_window, _unb_fold, _LOWER, 0.0),
+    "G": (_fold_window, _unb_fold, _UPPER, 1.0),
+    "AG": (_ag_window, _unb_almost_always, _APPROX, None),
+    "U": (_until_window, _unb_until, _LOWER, _prefix_fold),
+    "AU": (_until_window, _unb_until, _LOWER, _relaxed_fold),
 }
-#: Every F/G/AG/U/AU class -> its row above; a bounded class has no limit.
+#: Every class with a twin -> its keyword's row; a bounded class has no limit.
 _TEMPORAL = {
-    **_UNBOUNDED,
-    **{OPERATORS[cls].twin: (row[0], None, None, row[3]) for cls, row in _UNBOUNDED.items()},
+    spec.cls: row if spec.unbounded else (row[0], None, None, row[3])
+    for spec in OPERATORS.values()
+    if spec.twin is not None
+    for row in (_UNBOUNDED[spec.keyword],)
 }
 
 
@@ -956,24 +933,23 @@ def _h_temporal(ctx, f, lo, hi, memo):
     # direction
     out, tags = [], []
     for p in range(lo, hi):
-        (v,), ptags = window(ctx, f, p, p + 1, _largest_window(ctx, p), memo, arg)
+        (v,), ptags = window(ctx, f, p, p + 1, max(0, len(ctx.trace) - 1 - p), memo, arg)
         out.append(v)
         tags.append(_combine(ptags[0] if ptags else _EXACT, tag))
     return out, tags
 
 
+#: Node class -> its handler: the temporal and binary kinds by level, the
+#: others by keyword (an atom has none).
+_BY_KEYWORD = {
+    None: _h_atom, "true": _h_top, "false": _h_bot, "!": _h_not, "X": _h_next,
+    "S": _h_soon, "L": _h_lasts, "W": _h_within, "O": _h_scale,
+}
 _HANDLERS = {
-    Atom: _h_atom,
-    Top: _h_top,
-    Bot: _h_bot,
-    Not: _h_not,
-    Next: _h_next,
-    Soon: _h_soon,
-    Lasts: _h_lasts,
-    Within: _h_within,
-    Scale: _h_scale,
-    **dict.fromkeys((And, Or, Implies, WeakAnd, WeakOr), _h_binary),
-    **dict.fromkeys(_TEMPORAL, _h_temporal),
+    spec.cls: _h_temporal if spec.twin is not None
+    else _h_binary if spec.level < Level.UNARY
+    else _BY_KEYWORD[spec.keyword]
+    for spec in OPERATORS.values()
 }
 
 
@@ -1050,8 +1026,7 @@ def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDeg
     """Exact limit of an unbounded-headed formula on a lasso trace."""
     if not ctx.trace.is_lasso:
         raise NotALasso("unbounded limits need a lasso trace")
-    row = _UNBOUNDED.get(type(f))
-    if row is None:
+    _, limit, _, arg = _TEMPORAL.get(type(f), (None,) * 4)
+    if limit is None:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    _, limit, _, arg = row
     return _run(ctx, pos, lambda memo: limit(ctx, f, pos, memo, arg))

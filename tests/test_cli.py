@@ -275,6 +275,17 @@ _FAILURE_CASES = {
         4,
         "not lowerable: ",
     ),
+    "rewrite-unknown-rule": (
+        ["rewrite", "--formula", "p", "--target", "rule:no-such-rule"],
+        2,
+        "validation error: unknown rule 'no-such-rule'; rules: ",
+    ),
+    "rewrite-unsound-rule": (
+        ["rewrite", "--formula", "G p", "--target", "rule:FG-dual", "--interp", "godel"],
+        2,
+        "validation error: rule 'FG-dual' is only sound under: ",
+    ),
+    "rewrite-bad-target": (["rewrite", "--formula", "p", "--target", "lowered"], 2, "validation error: bad --target 'lowered'"),
     "verify-missing-trace": ([*_VERIFY, "{tmp}/none.json"], 2, "validation error: "),
     "verify-invalid-trace": ([*_VERIFY, "{bad}"], 2, "validation error: "),
     "verify-unknown-atom": (
@@ -285,7 +296,7 @@ _FAILURE_CASES = {
     "check-no-cases": (["check", "--cases", "0"], 2, "validation error: "),
     "check-negative-cases": (["check", "--suite", "oracle", "--cases", "-5"], 2, "validation error: "),
     "gen-demo-no-minutes": (["gen-demo", "--minutes", "0", "--out", "{tmp}/x.json"], 2, "validation error: "),
-    "gen-demo-unwritable": (["gen-demo", "--minutes", "5", "--out", "{tmp}/no/dir/x.json"], 2, "cannot write "),
+    "gen-demo-unwritable": (["gen-demo", "--minutes", "5", "--out", "{tmp}/no/dir/x.json"], 2, "validation error: cannot write "),
 }
 
 

@@ -446,6 +446,31 @@ def test_lattice_connectives_are_exact_off_grid(interp):
     assert evaluate(chained, parse("p || X p")).value == 0.7
 
 
+def test_connective_rows_hold():
+    # the sixteenths grid, off-grid floats and both zeros; hex() tells the
+    # zeros apart, so each check is bit for bit
+    values = [i / 16 for i in range(17)] + [0.1, 0.3, 1 / 3, 0.7, 0.9, 2.0**-60, 1 - 2.0**-53, -0.0]
+    connectives = {op for i in Interpretation for op in (algebra.ops_for(i).tnorm, algebra.ops_for(i).tconorm)}
+    assert set(evaluator._CONNECTIVES) == connectives
+    for op, (step, c_fold, saturated, drops) in evaluator._CONNECTIVES.items():
+        pairs = list(itertools.product(values, repeat=2))
+        for a, b in pairs:
+            assert step(a, b).hex() == op(a, b).hex(), (op.__name__, a, b)
+            if drops is not None:  # drops the back value when the step replaces it
+                assert drops(a, b) == (op(a, b).hex() != a.hex()), (op.__name__, a, b)
+        if c_fold is not None:
+            for seq in itertools.product(values, repeat=3):
+                for n in (1, 2, 3):
+                    assert c_fold(seq[:n]).hex() == functools.reduce(op, seq[:n]).hex(), (op.__name__, seq[:n])
+        if saturated is not None:
+            # a running value that equals it, as a step gives it or, for a
+            # C fold, as an input: every later step keeps its bits
+            reached = [op(a, b) for a, b in pairs] + (values if c_fold is not None else [])
+            for x in (x for x in reached if x == saturated):
+                for v in values:
+                    assert step(x, v).hex() == x.hex(), (op.__name__, x, v)
+
+
 def _close(interp, got, want):
     if interp in (Z, G):
         return got == want
@@ -1017,7 +1042,7 @@ def _full_limit_line(ctx, f, pos):
                 weights = map(eta.lookup, range(len(sp) - 1, -1, -1))
                 value = max([eta.lookup(len(sp)), *map(algebra.scale, folds, weights)])
         else:
-            fold, min_k = evaluator._UNBOUNDED[type(f)][3](ctx)
+            fold, min_k = evaluator._TEMPORAL[type(f)][3](ctx)
             scan = max(pre, min_k) + trace.loop_length + 1
             right = _range_read(ctx, f.right, start, scan)[0]
             left = _range_read(ctx, f.left, start, scan - 1)[0]

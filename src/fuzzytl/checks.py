@@ -734,7 +734,3 @@ SUITES = {
     "rewrites": lambda seed, cases: run_rewrite_suite(seed, max(1, min(cases, 300))),
     "lasso": run_lasso_suite,
 }
-
-
-def run_suites(names: Sequence[str], seed: int, cases: int) -> list[SuiteReport]:
-    return [SUITES[name](seed, cases) for name in names]

@@ -22,6 +22,17 @@ TruthDegree = float
 ETA_ATOM_PREFIX = "__eta_"
 
 
+def eta_atom_index(name: str) -> Optional[int]:
+    """j when ``name`` is the atom of eta(j), the prefix then decimal digits,
+    else None.  A trace may not declare such a name.  Past 18 digits j only
+    needs to lie past every table, where eta is 0, so its first 19 digits
+    stand for it: int() refuses strings past 4300 digits."""
+    if not name.startswith(ETA_ATOM_PREFIX):
+        return None
+    suffix = name[len(ETA_ATOM_PREFIX):]
+    return int(suffix.lstrip("0")[:19] or "0") if suffix.isdecimal() else None
+
+
 def degree(value: float) -> TruthDegree:
     """Validate and return a truth degree; rejects non-numbers and anything
     outside [0, 1]."""
@@ -410,6 +421,9 @@ class Trace:
         object.__setattr__(self, "atoms", atoms)
         if len(set(atoms)) != len(atoms):
             raise ValidationError("duplicate atom names in trace")
+        for name in atoms:
+            if isinstance(name, str) and eta_atom_index(name) is not None:
+                raise ValidationError(f"atom name {name!r} is reserved for an eta constant")
         rows = tuple(self.states)
         if not _ROW_TYPES.issuperset(map(type, rows)):
             rows = tuple(map(_rereadable, rows))

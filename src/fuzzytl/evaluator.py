@@ -8,8 +8,9 @@ One ``evaluate`` call keeps a value column per subformula it touches.  A
 window reads its child as one span of that column, and every missing run of
 the span is filled by one call of the child's handler, which computes the
 whole run ``[lo, hi)`` at once; a point evaluation is a run of length 1.
-A point F or G, and a lasso limit, reads growing spans and stops once its
-value is decided.
+A point F or G, and a lasso F, G or AG limit, reads growing spans and stops
+once its value is decided; a lasso U or AU limit is the bounded window over
+its horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Optional
 from . import algebra
 from .algebra import ConnectiveOps, scale
 from .core import (
-    ETA_ATOM_PREFIX,
     OPERATORS,
     AvoidingFunction,
     Formula,
@@ -35,6 +35,7 @@ from .core import (
     Level,
     TruthDegree,
     Trace,
+    eta_atom_index,
 )
 from .errors import (
     FormulaTooDeep,
@@ -529,14 +530,6 @@ def _span(ctx, arg, pos, n, memo):
     return out, tags
 
 
-def _eval(ctx, f, pos, memo):
-    """The value of ``f`` at one position and its exactness."""
-    if pos >= ctx.trace._length:
-        pos = _canonical_tail(ctx, pos)
-    (v,), tags = _span(ctx, f, pos, 1, memo)
-    return v, tags[0] if tags else _EXACT
-
-
 # ---------------------------------------------------------------------------
 # Handlers: each fills the run lo .. hi-1 of its node's column
 # ---------------------------------------------------------------------------
@@ -548,10 +541,9 @@ def _eval(ctx, f, pos, memo):
 
 def _h_atom(ctx, f, lo, hi, memo):
     name = f.name
-    if name.startswith(ETA_ATOM_PREFIX):
-        suffix = name[len(ETA_ATOM_PREFIX):]
-        if suffix.isdigit():
-            return [ctx.eta.lookup(int(suffix))] * (hi - lo), None
+    j = eta_atom_index(name)
+    if j is not None:
+        return [ctx.eta.lookup(j)] * (hi - lo), None
     trace = ctx.trace
     length = trace._length
     if lo >= length:  # padded region of a finite trace
@@ -764,7 +756,6 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
     # monotone, so its cap is the window's largest cap
     tops = _slide(algebra._maximum, right[1:], n, t)
     holds = {}  # (value, sign) -> the held folds of t copies of the value
-    exit_on_hold = ctx.interp in _IDEMPOTENT
     out = []
     for i, top in enumerate(tops):
         best = right[i]
@@ -783,8 +774,7 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
         elif fold is accumulate:  # until's prefix folds run in C
             best = max(chain((best,), map(step, accumulate(window, step), ahead)))
         else:
-            pairs = zip(ahead, _caps(ahead, step))
-            best = _scan(best, pairs, fold(window, step), step, min_k, exit_on_hold)
+            best = _scan(best, ahead, fold(window, step), step, min_k)
         out.append(best)
     return out, tags
 
@@ -796,13 +786,15 @@ def _caps(right, step):
     return map(step, repeat(1.0), later)
 
 
-def _scan(best, pairs, held, step, min_k, exit_on_hold):
+def _scan(best, ahead, held, step, min_k):
     """The first largest of ``best`` and step(h, r) for k = 1, 2, ..., where
-    ``held`` yields the held folds h and ``pairs`` each right value r with
-    the cap after it (see _caps).  It stops once the best reaches the cap,
-    or, with ``exit_on_hold``, once a hold that can only fall (k >= min_k)
-    is at most the best.  ``pairs`` is read before ``held`` at each k."""
-    for k, (r, cap), h in zip(count(1), pairs, held):
+    ``held`` yields the held folds h and ``ahead`` the right values r.  It
+    stops once the best reaches the cap after r (see _caps), or, under the
+    minimum t-norm, once a hold that can only fall (k >= min_k) is at most
+    the best: min(h, r) <= h, where a rounded Lukasiewicz step(h, 1.0) can
+    exceed h."""
+    exit_on_hold = step is algebra._minimum
+    for k, r, cap, h in zip(count(1), ahead, _caps(ahead, step), held):
         if exit_on_hold and k >= min_k and h <= best:
             break  # every later hold, so every later candidate, is at most h
         cand = step(h, r)
@@ -875,31 +867,13 @@ def _unb_almost_always(ctx, f, pos, memo, _):
 
 
 def _unb_until(ctx, f, pos, memo, hold):
-    """Lasso U or AU.  From the min_k-th prefix on the held fold never
-    increases, so every candidate one full loop later is dominated: the
-    pre-loop stretch (at least min_k values) plus one period holds the limit.
-    ``right`` is read in chunks; the scan stops once the held fold is at most
-    the best, or, with ``right`` read whole, once the best reaches every cap
-    ahead (see _scan)."""
-    fold, min_k = hold(ctx)
-    step = _CONNECTIVES[ctx.ops.tnorm][0]
-    trace = ctx.trace
-    start = trace.resolve(pos)
-    scan = max(trace.loop_start - start, min_k) + trace.loop_length + 1
-
-    def chunked():
-        # a cap is known only once the last chunk is read
-        read = 0
-        for right, _ in _chunks(ctx, f.right, start, scan, memo):
-            read += len(right)
-            yield from zip(right, _caps(right, step) if read == scan else repeat(math.inf))
-
-    pairs = chunked()
-    best, cap = next(pairs)
-    if best >= cap:
-        return best
-    held = fold((_eval(ctx, f.left, p, memo)[0] for p in count(start)), step)
-    return _scan(best, pairs, held, step, min_k, True)
+    """Lasso U or AU: the U[t] or AU[t] window at the suffix's start.  From
+    the min_k-th prefix on the held fold never increases, so every candidate
+    one full loop later is dominated: the pre-loop stretch (at least min_k
+    values) plus one period holds the limit."""
+    start, head = _suffix(ctx.trace, pos)
+    t = max(head, hold(ctx)[1]) + ctx.trace.loop_length
+    return _until_window(ctx, f, start, start + 1, t, memo, hold)[0][0]
 
 
 #: Unbounded keyword -> (window kernel, exact lasso limit, the tag of a
@@ -992,8 +966,10 @@ def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
         raise PositionOutOfRange(
             f"position {pos} past the end of a {len(trace)}-state finite trace"
         )
-    value, exactness = _run(ctx, pos, lambda memo: _eval(ctx, f, pos, memo))
-    return EvalResult(value, exactness)
+    if pos >= len(trace):
+        pos = _canonical_tail(ctx, pos)
+    (value,), tags = _run(ctx, pos, lambda memo: _span(ctx, f, pos, 1, memo))
+    return EvalResult(value, tags[0] if tags else _EXACT)
 
 
 def almost_always_fast(

@@ -27,6 +27,17 @@ from .errors import FormulaTooDeep, ParseError, ValidationError
 
 BOUND_CEILING = 10**6
 
+
+def below_ceiling(digits: str, what: str) -> int:
+    """The natural number the decimal ``digits`` spell; ValidationError
+    naming ``what`` past BOUND_CEILING.  Leading zeros are stripped first,
+    as int() refuses strings past 4300 digits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(BOUND_CEILING)) or int(digits) > BOUND_CEILING:
+        raise ValidationError(f"{what} {digits} exceeds the ceiling {BOUND_CEILING}")
+    return int(digits)
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 KEYWORDS = frozenset(
@@ -124,15 +135,12 @@ class _Parser:
                 f"expected a bound, found {tok.text or 'end of input'!r}", {"<number>"}
             )
         self.advance()
-        digits = tok.text.lstrip("0") or "0"  # int() refuses strings past 4300 digits
-        if len(digits) > len(str(BOUND_CEILING)) or int(digits) > BOUND_CEILING:
-            raise ParseError(
-                f"bound {digits} exceeds the ceiling {BOUND_CEILING}",
-                (tok.start, tok.end),
-                frozenset({"<number>"}),
-            )
+        try:
+            bound = below_ceiling(tok.text, "bound")
+        except ValidationError as exc:
+            raise ParseError(str(exc), (tok.start, tok.end), frozenset({"<number>"})) from None
         self.expect_sym("]")
-        return int(digits)
+        return bound
 
     def optional_bound(self) -> int | None:
         tok = self.peek()

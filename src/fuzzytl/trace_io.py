@@ -11,7 +11,7 @@ from typing import Optional
 
 from .core import AvoidingFunction, Trace
 from .errors import ValidationError
-from .parser import BOUND_CEILING, _is_atom_name
+from .parser import _is_atom_name, below_ceiling
 
 
 def _check_atom_names(atoms) -> tuple[str, ...]:
@@ -142,10 +142,7 @@ def parse_eta_spec(spec: str) -> AvoidingFunction:
         if not body.isdecimal():
             raise ValidationError(f"bad gaussian width {body!r}")
         # checked before the K+1-entry table is built, as the parser checks bounds
-        digits = body.lstrip("0") or "0"
-        if len(digits) > len(str(BOUND_CEILING)) or int(digits) > BOUND_CEILING:
-            raise ValidationError(f"gaussian width {digits} exceeds the ceiling {BOUND_CEILING}")
-        return AvoidingFunction.gaussian(int(digits))
+        return AvoidingFunction.gaussian(below_ceiling(body, "gaussian width"))
     raise ValidationError(
         f"unknown eta spec {spec!r}; use 'table:v0,v1,...', 'gauss:K', or 'crisp'"
     )

@@ -248,14 +248,16 @@ _EVAL = ["eval", "--trace", "{t3}", "--formula"]
 _VERIFY = ["rewrite", "--formula", "G p", "--target", "rule:FG-dual", "--verify"]
 
 #: (argv, exit code, first words of the one stderr line); {t3} is the
-#: four-state trace, {bad} one with a degree outside [0, 1], {bin} a file that
-#: is not UTF-8, {tmp} a scratch dir
+#: four-state trace, {bad} one with a degree outside [0, 1], {eta} one that
+#: declares the reserved atom __eta_1, {bin} a file that is not UTF-8, {tmp}
+#: a scratch dir
 _FAILURE_CASES = {
     "eval-syntax": ([*_EVAL, "AG[2"], 1, "syntax error: "),
     "eval-too-deep-to-parse": ([*_EVAL, "!" * 1500 + "p"], 3, "evaluation error: "),
     "eval-missing-trace": (["eval", "--trace", "{tmp}/none.json", "--formula", "p"], 2, "validation error: "),
     "eval-invalid-trace": (["eval", "--trace", "{bad}", "--formula", "p"], 2, "validation error: "),
     "eval-non-utf8-trace": (["eval", "--trace", "{bin}", "--formula", "p"], 2, "validation error: "),
+    "eval-reserved-eta-atom": (["eval", "--trace", "{eta}", "--formula", "__eta_1"], 2, "validation error: "),
     "eval-bad-eta": ([*_EVAL, "p", "--eta", "table:0.5"], 2, "validation error: "),
     "eval-gauss-past-ceiling": ([*_EVAL, "p", "--eta", "gauss:1000001"], 2, "validation error: "),
     "eval-strict-horizon": ([*_EVAL, "X[9] p"], 3, "evaluation error: "),
@@ -305,9 +307,11 @@ class TestFailures:
     def test_one_line_and_its_exit_code(self, table3, tmp_path, capsys, argv, code, prefix):
         bad = tmp_path / "bad.json"
         bad.write_text('{"atoms":["p"],"states":[[7.0]]}')
+        eta = tmp_path / "eta.json"
+        eta.write_text('{"atoms":["__eta_1","p"],"states":[[0.9,0.5]]}')
         binary = tmp_path / "bin.json"
         binary.write_bytes(bytes.fromhex("fffe00626164"))
-        paths = {"t3": table3, "bad": str(bad), "bin": str(binary), "tmp": str(tmp_path)}
+        paths = {"t3": table3, "bad": str(bad), "eta": str(eta), "bin": str(binary), "tmp": str(tmp_path)}
         assert main([arg.format(**paths) for arg in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")

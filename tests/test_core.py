@@ -165,6 +165,24 @@ class TestTrace:
         with pytest.raises(ValidationError):
             Trace(("p",), ((1.5,),))
 
+    @pytest.mark.parametrize("name", ["__eta_1", "__eta_0", "__eta_007"])
+    def test_rejects_reserved_eta_names(self, name):
+        # evaluation reads such an atom as an eta constant, never its column
+        with pytest.raises(ValidationError, match="reserved for an eta constant"):
+            Trace((name, "p"), ((0.9, 0.5),))
+
+    def test_names_near_the_eta_prefix_are_atoms(self):
+        names = ("__eta_", "__eta_x", "__eta_1x", "_eta_1")
+        trace = Trace(names, ((0.75, 0.5, 0.25, 0.125),))
+        ctx = EvalContext(trace, Interpretation.ZADEH, AvoidingFunction((1.0, 0.5)))
+        assert [evaluate(ctx, Atom(name)).value for name in names] == [0.75, 0.5, 0.25, 0.125]
+
+    def test_eta_atom_past_int_digits_reads_past_every_table(self):
+        # int() refuses strings past 4300 digits
+        ctx = EvalContext(Trace(("p",), ((0.9,),)), Interpretation.ZADEH, AvoidingFunction((1.0, 0.5)))
+        assert evaluate(ctx, Atom("__eta_" + "9" * 5000)).value == 0.0
+        assert evaluate(ctx, Atom("__eta_" + "0" * 5000 + "1")).value == 0.5
+
     def test_derived_fields_are_not_constructor_arguments(self):
         # a caller-supplied atom index would let an undeclared atom read
         # another atom's column

@@ -593,8 +593,10 @@ def golden_outcomes(n_formulas=150, n=9, seed=8):
 
 
 #: sha256 of ``golden_outcomes()``, taken when every window was evaluated one
-#: position at a time.
-GOLDEN_DIGEST = "a3b54e9a70c131a2591824989fb5191990a470c6e6a28f39e739895fea47d88b"
+#: position at a time, then re-taken when lasso U and AU became the bounded
+#: window over their horizon: the Lukasiewicz ``q U q`` at lasso positions 4
+#: and 10 moved up to the full scan's value.
+GOLDEN_DIGEST = "b78fa724e43bc46449c3ef1e04345db5bff038068dc83138e7107adad1d80118"
 
 
 class TestRangeFills:
@@ -715,8 +717,11 @@ def kernel_outcomes(n=7, seed=21):
     return lines
 
 
-#: sha256 of ``kernel_outcomes()``, taken when each twin had its own kernels.
-KERNEL_DIGEST = "6a504b07985f965616a714a531826794b5042e75c254aeb7b650cfea3c2f9c9e"
+#: sha256 of ``kernel_outcomes()``, taken when each twin had its own kernels,
+#: then re-taken when lasso U and AU became the bounded window over their
+#: horizon: the Lukasiewicz ``p U p`` at lasso positions 2 and 6 moved up to
+#: the full scan's value.
+KERNEL_DIGEST = "439abaa45927b8f31d4ea931857d387d7105b07be1b26954ad172e4988eef9ed"
 
 
 def test_twin_kernels_golden_outcomes():
@@ -1132,14 +1137,66 @@ def test_lasso_limits_match_the_full_read():
     assert hashlib.sha256(lines.encode()).hexdigest() == LASSO_LIMIT_DIGEST
 
 
-@pytest.mark.xfail(strict=True, reason="the until scan's hold exit assumes exact arithmetic")
 def test_lukasiewicz_lasso_until_takes_the_rounded_later_candidate():
     """Under Lukasiewicz _luk_tnorm(h, 1.0) can round above h, so a candidate
     after the held fold ties the best can still win: the full scan of
-    ``q U q`` at 4 gives 0x1.d627293e63310p-2, the exit 0x1.d627293e6330ep-2."""
+    ``q U q`` at 4 gives 0x1.d627293e63310p-2, an exit at the tie
+    0x1.d627293e6330ep-2."""
     trace = Trace(("p", "q"), _golden_trace_rows(random.Random(8), 9), 3)
     got = eval_unbounded_lasso(ctx_for(trace, L), Until(Atom("q"), Atom("q")), 4)
     assert got.hex() == "0x1.d627293e63310p-2"
+
+
+def _golden_and_kernel_lassos():
+    """The lasso of golden_outcomes() and the two of kernel_outcomes()."""
+    golden = _golden_trace_rows(random.Random(8), 9)
+    kernel = _golden_trace_rows(random.Random(21), 7)
+    return Trace(("p", "q"), golden, 3), Trace(("p", "q"), kernel, 0), Trace(("p", "q"), kernel, 3)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+def test_lasso_until_ties_match_the_full_scan(interp):
+    """In ``p U p`` each held fold ties a candidate, and under Lukasiewicz a
+    later step can round above the tie: lasso U and AU give the bits of the
+    first largest candidate over every k of the scan."""
+    formulas = [parse(f"{a} {op} {a}") for op in ("U", "AU") for a in ("p", "q")]
+    for trace in _golden_and_kernel_lassos():
+        for eta in (AvoidingFunction.crisp(), ETA_3, AvoidingFunction.gaussian(12)):
+            ctx = ctx_for(trace, interp, eta)
+            for f in formulas:
+                for pos in range(len(trace) + 2):
+                    want = _full_limit_line(ctx, f, pos)
+                    assert evaluate(ctx, f, pos).value.hex() == want, (f, eta, pos)
+                    assert eval_unbounded_lasso(ctx, f, pos).hex() == want, (f, eta, pos)
+
+
+_BOTH_CHILDREN_LASSO = Trace(("p", "q"), ((0.5, 1.0), (0.25, 0.5), (0.75, 0.0)), 1)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("r U q", UnknownAtom),
+        ("r AU q", UnknownAtom),
+        ("r U[2] q", UnknownAtom),
+        ("r AU[2] q", UnknownAtom),
+        ("O[3] p U q", ScaleIndexOutOfRange),
+        ("O[3] p AU q", ScaleIndexOutOfRange),
+        ("O[3] p U[2] q", ScaleIndexOutOfRange),
+    ],
+)
+def test_every_until_reads_both_children(interp, text, error):
+    """A right value of 1.0 decides an until, yet a left child that cannot
+    be evaluated raises its error, bounded or unbounded: q is 1.0 at 0, r is
+    not in the trace and n_eta = 2 has no O[3]."""
+    ctx = ctx_for(_BOTH_CHILDREN_LASSO, interp, AvoidingFunction((1.0, 0.5)))
+    f = parse(text)
+    with pytest.raises(error):
+        evaluate(ctx, f, 0)
+    if isinstance(f, (Until, AlmostUntil)):
+        with pytest.raises(error):
+            eval_unbounded_lasso(ctx, f, 0)
 
 
 class TestFormulaTooDeep:

@@ -322,7 +322,7 @@ def _chain_checks(
     )
     report.check("lasts-non-increasing", l_tp <= l_t + TOL, d(ltp=l_tp, lt=l_t))
     if lasso:
-        ag_inf = eval_unbounded_lasso(ctx, AlmostAlways(phi), pos)
+        ag_inf = v(AlmostAlways(phi))
         g_inf = v(Always(phi))
         report.check(
             "almost-always-limit-above-always", ag_inf >= g_inf - TOL, d(ag=ag_inf, g=g_inf)

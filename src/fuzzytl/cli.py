@@ -38,16 +38,6 @@ DEFAULT_ETA_SPEC = "gauss:20"
 _SUITE_NAMES = ("chains", "crisp", "lasso", "oracle", "rewrites")
 
 
-def __getattr__(name: str):
-    # ``SUITES`` stays an attribute of this module without importing the
-    # law suites, and the rewriter and oracle behind them, on every command
-    if name == "SUITES":
-        from .checks import SUITES
-
-        return SUITES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _add_interp_flag(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--interp",

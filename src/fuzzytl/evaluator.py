@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, is_not, itemgetter, lt, mul
+from operator import gt, index, is_not, itemgetter, lt, mul
 from typing import Optional
 
 from . import algebra
@@ -42,7 +42,6 @@ from .errors import (
     FtlError,
     HorizonExceedsTrace,
     NotALasso,
-    PositionOutOfRange,
     ScaleIndexOutOfRange,
     ValidationError,
 )
@@ -393,18 +392,6 @@ class _DropBuffer:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_tail(ctx: EvalContext, pos: int) -> int:
-    trace = ctx.trace
-    if trace.loop_start is not None:
-        return trace.resolve(pos)
-    if ctx.finite_policy is FinitePolicy.STRICT:
-        raise HorizonExceedsTrace(
-            f"position {pos} leaves the {trace._length}-state finite trace "
-            "under the strict policy"
-        )
-    return trace._length  # every padded position is the same all-zero state
-
-
 class _Columns(dict):
     """The memo of one evaluation: ``id(node)`` -> the node's column.
 
@@ -447,9 +434,10 @@ def _span(ctx, arg, pos, n, memo):
     position order.  Past the end of a finite trace the span repeats the
     padded tail value, or raises HorizonExceedsTrace under the strict policy
     naming the first position past the end once the positions before it are
-    filled; around a lasso it reads the loop's slice of the column.  So the
-    values filled, and the error met first, are those of a position-by-
-    position read.
+    filled.  A lasso span that starts past the end starts at
+    ``Trace.resolve(pos)``, the stored state of the same suffix, and reads
+    past the end from the loop's start.  So the values filled, and the error
+    met first, are those of a position-by-position read.
     """
     trace = ctx.trace
     length = trace._length
@@ -469,14 +457,13 @@ def _span(ctx, arg, pos, n, memo):
         ex = inexact.get(pos) if inexact else None
         return [v], None if ex is None else [ex]
     loop = trace.loop_start
+    if loop is not None and pos >= length:
+        pos = trace.resolve(pos)  # the same suffix, from a stored state
+        stop = pos + n
     if stop <= length:
         fills = ((pos, stop),)
     elif loop is not None:
-        first = max(pos, length)
-        wrap = loop + (first - loop) % (length - loop)
-        m = stop - first  # positions read around the loop, from wrap on
-        rest = m - (length - wrap)  # positions read after the first wrap
-        fills = ((pos, length), (wrap, min(length, wrap + m)), (loop, min(wrap, loop + rest)))
+        fills = ((pos, length), (loop, min(length, loop + stop - length)))
     elif ctx.finite_policy is FinitePolicy.STRICT:
         fills = ((pos, length),)
     else:
@@ -511,12 +498,14 @@ def _span(ctx, arg, pos, n, memo):
         out = values[pos - base : stop - base]
     elif loop is not None:
         cycle = values[loop - base : length - base]
-        k = wrap - loop
-        cycle = cycle[k:] + cycle[:k]
+        m = stop - length  # positions read around the loop, from its start on
         out = values[pos - base : length - base] + (cycle * (m // len(cycle) + 1))[:m]
         return out, None  # on a lasso every value is exact, unbounded ones included
     elif ctx.finite_policy is FinitePolicy.STRICT:
-        _canonical_tail(ctx, max(pos, length))  # raises
+        raise HorizonExceedsTrace(
+            f"position {max(pos, length)} leaves the {length}-state finite trace "
+            "under the strict policy"
+        )
     else:
         tail = [values[length - base]] * (stop - max(pos, length))
         out = values[pos - base : length - base] + tail
@@ -816,18 +805,14 @@ def _h_scale(ctx, f, lo, hi, memo):
 
 
 # -- unbounded operators -----------------------------------------------------
+#
+# A lasso limit is read at a stored position ``start``: a pre-loop stretch of
+# ``head`` values, then one period of the loop.
 
 
-def _suffix(trace, pos):
-    """Where the suffix from ``pos`` starts, and its pre-loop stretch's length;
-    one period of the loop follows that stretch."""
-    start = trace.resolve(pos)
-    return start, max(0, trace.loop_start - start)
-
-
-def _unb_fold(ctx, f, pos, memo, unit):
+def _unb_fold(ctx, f, start, memo, unit):
     """Lasso F (unit 0.0) or G (unit 1.0)."""
-    start, head = _suffix(ctx.trace, pos)
+    head = max(0, ctx.trace.loop_start - start)
     period = ctx.trace.loop_length
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.interp in _IDEMPOTENT:
@@ -839,8 +824,8 @@ def _unb_fold(ctx, f, pos, memo, unit):
     return _point_fold(ctx, f.arg, start, head, op, memo)[0] if head else unit
 
 
-def _unb_almost_always(ctx, f, pos, memo, _):
-    start, head = _suffix(ctx.trace, pos)
+def _unb_almost_always(ctx, f, start, memo, _):
+    head = max(0, ctx.trace.loop_start - start)
     eta = ctx.eta
     period = ctx.trace.loop_length
     if ctx.interp in _IDEMPOTENT:
@@ -866,12 +851,12 @@ def _unb_almost_always(ctx, f, pos, memo, _):
     return best
 
 
-def _unb_until(ctx, f, pos, memo, hold):
-    """Lasso U or AU: the U[t] or AU[t] window at the suffix's start.  From
-    the min_k-th prefix on the held fold never increases, so every candidate
-    one full loop later is dominated: the pre-loop stretch (at least min_k
+def _unb_until(ctx, f, start, memo, hold):
+    """Lasso U or AU: the U[t] or AU[t] window at ``start``.  From the
+    min_k-th prefix on the held fold never increases, so every candidate one
+    full loop later is dominated: the pre-loop stretch (at least min_k
     values) plus one period holds the limit."""
-    start, head = _suffix(ctx.trace, pos)
+    head = max(0, ctx.trace.loop_start - start)
     t = max(head, hold(ctx)[1]) + ctx.trace.loop_length
     return _until_window(ctx, f, start, start + 1, t, memo, hold)[0][0]
 
@@ -953,21 +938,22 @@ def _run(ctx: EvalContext, pos: int, read):
         raise FormulaTooDeep("formula nests too deeply to evaluate") from None
 
 
+def _position(ctx: EvalContext, pos) -> int:
+    """``pos`` as an int, checked as where an evaluation starts: not
+    negative, and not past the end of a finite trace under the strict
+    policy, as ``Trace.resolve`` checks it."""
+    try:
+        pos = index(pos)
+    except TypeError:
+        raise ValidationError(f"position {pos!r} is not an integer") from None
+    if pos < 0 or ctx.finite_policy is FinitePolicy.STRICT:
+        ctx.trace.resolve(pos)  # raises PositionOutOfRange
+    return pos
+
+
 def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
     """The truth degree of ``f`` along the trace from position ``pos``."""
-    if pos < 0:
-        raise PositionOutOfRange(f"negative position {pos}")
-    trace = ctx.trace
-    if (
-        not trace.is_lasso
-        and pos >= len(trace)
-        and ctx.finite_policy is FinitePolicy.STRICT
-    ):
-        raise PositionOutOfRange(
-            f"position {pos} past the end of a {len(trace)}-state finite trace"
-        )
-    if pos >= len(trace):
-        pos = _canonical_tail(ctx, pos)
+    pos = _position(ctx, pos)
     (value,), tags = _run(ctx, pos, lambda memo: _span(ctx, f, pos, 1, memo))
     return EvalResult(value, tags[0] if tags else _EXACT)
 
@@ -986,8 +972,7 @@ def almost_always_fast(
     product; the idempotent interpretations read the product straight off the
     selection.
     """
-    if pos < 0:
-        raise PositionOutOfRange(f"negative position {pos}")
+    pos = _position(ctx, pos)
     if t < 0:
         raise ValidationError(f"negative window {t}")
     values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo)[0])
@@ -999,10 +984,11 @@ def almost_always_fast(
 
 
 def eval_unbounded_lasso(ctx: EvalContext, f: Formula, pos: int = 0) -> TruthDegree:
-    """Exact limit of an unbounded-headed formula on a lasso trace."""
+    """Exact limit of an unbounded-headed formula on a lasso trace: its
+    ``evaluate`` value, once the trace and the head are checked."""
     if not ctx.trace.is_lasso:
         raise NotALasso("unbounded limits need a lasso trace")
-    _, limit, _, arg = _TEMPORAL.get(type(f), (None,) * 4)
-    if limit is None:
+    spec = OPERATORS.get(type(f))
+    if spec is None or not spec.unbounded:
         raise TypeError(f"{type(f).__name__} is not an unbounded operator")
-    return _run(ctx, pos, lambda memo: limit(ctx, f, pos, memo, arg))
+    return evaluate(ctx, f, pos).value

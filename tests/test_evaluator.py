@@ -345,8 +345,9 @@ class TestLassoLimits:
     def test_entry_point_validates_head(self):
         with pytest.raises(NotALasso):
             eval_unbounded_lasso(ctx_for(WORKED), Eventually(Atom("p")), 0)
-        with pytest.raises(TypeError):
-            eval_unbounded_lasso(ctx_for(self.LASSO), Atom("p"), 0)
+        for head in (Atom("p"), parse("G[2] p"), "p"):
+            with pytest.raises(TypeError, match="is not an unbounded operator"):
+                eval_unbounded_lasso(ctx_for(self.LASSO), head, 0)
 
     def test_unbounded_until_on_lasso(self):
         # psi peaks inside the loop; phi stays high through the prefix
@@ -393,6 +394,42 @@ class TestAlmostAlwaysFast:
     def test_negative_window_rejected(self, interp):
         with pytest.raises(ValidationError, match="negative window -1"):
             almost_always_fast(ctx_for(WORKED, interp), Atom("p"), 0, -1)
+
+
+class TestStartPositions:
+    """evaluate, almost_always_fast and eval_unbounded_lasso check where they
+    start by one rule."""
+
+    LASSO = Trace(("p",), ((0.9,), (0.5,), (0.7,)), loop_start=1)
+
+    def test_past_a_strict_finite_end_is_out_of_range(self):
+        ctx = ctx_for(Trace(("p",), ((0.1,), (0.2,), (1.0,))))
+        message = "^position 5 past the end of a 3-state finite trace$"
+        with pytest.raises(PositionOutOfRange, match=message):
+            evaluate(ctx, parse("AG[1] p"), 5)
+        with pytest.raises(PositionOutOfRange, match=message):
+            almost_always_fast(ctx, Atom("p"), 5, 1)
+
+    @pytest.mark.parametrize("pos", [1.5, 1.0, Fraction(3, 2), "1", None])
+    def test_a_position_that_is_not_an_integer_is_a_validation_error(self, pos):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            evaluate(ctx_for(WORKED), parse("p"), pos)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            almost_always_fast(ctx_for(WORKED), Atom("p"), pos, 1)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            eval_unbounded_lasso(ctx_for(self.LASSO), Eventually(Atom("p")), pos)
+
+    def test_integral_positions_are_integers(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        ctx = ctx_for(WORKED)
+        assert evaluate(ctx, parse("p"), True).value == 0.2
+        assert evaluate(ctx, parse("p"), Two()).value == 1.0
+        assert almost_always_fast(ctx, Atom("p"), Two(), 1) == almost_always_fast(ctx, Atom("p"), 2, 1)
+        lasso = ctx_for(self.LASSO)
+        assert eval_unbounded_lasso(lasso, Always(Atom("p")), Two()) == 0.5
 
 
 def test_within_equals_eventually_when_crisp_table():
@@ -1168,6 +1205,49 @@ def test_lasso_until_ties_match_the_full_scan(interp):
                     want = _full_limit_line(ctx, f, pos)
                     assert evaluate(ctx, f, pos).value.hex() == want, (f, eta, pos)
                     assert eval_unbounded_lasso(ctx, f, pos).hex() == want, (f, eta, pos)
+
+
+#: Formulas whose spans start past a lasso's end and wrap its loop more than
+#: once.
+LASSO_WRAP_FORMULAS = (
+    "X[7] G[9] p", "X[5] (p U[12] q)", "W[3] p", "AG[20] (p AU[4] q)", "X[9] (AG[20] q)",
+)
+
+
+def lasso_wrap_outcomes():
+    """On the golden rows with loops of 6, 2 and 1 states, for each
+    interpretation, table and formula and each position p from the loop start
+    to two periods past the end: the hex of ``evaluate`` at resolve(p) and at
+    p + k * period for k = 1, 2 and 10^5."""
+    rows = _golden_trace_rows(random.Random(8), 9)
+    formulas = [parse(text) for text in LASSO_WRAP_FORMULAS]
+    out = []
+    for loop in (3, 7, 8):
+        trace = Trace(("p", "q"), rows, loop)
+        period = trace.loop_length
+        for interp in (Z, G, L, P):
+            for eta in (ETA_3, AvoidingFunction.gaussian(12)):
+                ctx = ctx_for(trace, interp, eta)
+                for f in formulas:
+                    for p in range(loop, len(trace) + 2 * period):
+                        at = (trace.resolve(p), *(p + k * period for k in (1, 2, 10**5)))
+                        out.append(tuple(evaluate(ctx, f, q).value.hex() for q in at))
+    return out
+
+
+#: sha256 of the resolve(p) lines of ``lasso_wrap_outcomes()``, taken when a
+#: lasso span past the end re-derived its own start around the loop.
+LASSO_WRAP_DIGEST = "a8bbf5e6ba19a46fc12dbb2b823eb4aa23442758fb276e990b6ac2d5999d4699"
+
+
+def test_lasso_positions_one_period_apart_agree():
+    """A position past a lasso's end denotes the suffix of its stored state
+    Trace.resolve(p), so every span read from there on gives the same bits."""
+    outcomes = lasso_wrap_outcomes()
+    mismatches = [case for case in outcomes if len(set(case)) > 1]
+    assert not mismatches, mismatches[:5]
+    lines = "\n".join(case[0] for case in outcomes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == LASSO_WRAP_DIGEST
 
 
 _BOTH_CHILDREN_LASSO = Trace(("p", "q"), ((0.5, 1.0), (0.25, 0.5), (0.75, 0.0)), 1)

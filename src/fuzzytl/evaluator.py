@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, index, is_not, itemgetter, lt, mul
+from operator import gt, index, is_not, itemgetter, lt, mul, or_
 from typing import Optional
 
 from . import algebra
@@ -46,9 +46,6 @@ from .errors import (
     ValidationError,
 )
 
-_IDEMPOTENT = frozenset({Interpretation.ZADEH, Interpretation.GODEL})
-
-
 class FinitePolicy(Enum):
     """What to do when evaluation walks past the end of a finite trace."""
 
@@ -63,29 +60,12 @@ class Exactness(Enum):
     APPROXIMATE = "Approximate"
 
 
-_EXACT = Exactness.EXACT
-_LOWER = Exactness.LOWER_BOUND
-_UPPER = Exactness.UPPER_BOUND
-_APPROX = Exactness.APPROXIMATE
-
-
-def _combine(a: Exactness, b: Exactness) -> Exactness:
-    """Join two bound directions under a monotone-increasing combination."""
-    if a is _EXACT:
-        return b
-    if b is _EXACT:
-        return a
-    if a is b:
-        return a
-    return _APPROX
-
-
-def _flip(e: Exactness) -> Exactness:
-    if e is _LOWER:
-        return _UPPER
-    if e is _UPPER:
-        return _LOWER
-    return e
+#: An exactness tag is an int: bit 1 marks a lower bound and bit 2 an upper
+#: bound, so a monotone-increasing combination joins two tags by ``|``, and
+#: an antitone one swaps the bits first.
+_EXACT, _LOWER, _UPPER, _APPROX = range(4)
+_FLIPPED = (_EXACT, _UPPER, _LOWER, _APPROX)
+_EXACTNESS = tuple(Exactness)  # tag -> its Exactness member
 
 
 def _join(a, b):
@@ -95,7 +75,7 @@ def _join(a, b):
         return b
     if b is None:
         return a
-    return list(map(_combine, a, b))
+    return list(map(or_, a, b))
 
 
 def _window_tags(tags, n: int, width: int):
@@ -103,14 +83,11 @@ def _window_tags(tags, n: int, width: int):
     every value is exact."""
     if tags is None:
         return None
-    return [functools.reduce(_combine, set(tags[i : i + width]), _EXACT) for i in range(n)]
+    return [functools.reduce(or_, set(tags[i : i + width]), _EXACT) for i in range(n)]
 
 
-#: Connective -> (step, C fold, saturated, drops):
+#: Connective -> (C fold, saturated, drops):
 #:
-#: - step: the same bits as the connective, C-level where that exists.
-#:   Builtin min and max only fold lists: as two-argument steps they are
-#:   slower than _minimum and _maximum.
 #: - C fold: a C-level left fold with the bits of folding in position order,
 #:   or None: min and max keep the first of equal values, as _minimum and
 #:   _maximum do, and math.prod multiplies left to right from 1.
@@ -118,17 +95,18 @@ def _window_tags(tags, n: int, width: int):
 #:   min and max never replace a value by an equal one.  The other values are
 #:   absorbing elements, which a step gives exactly (0.0 from the Lukasiewicz
 #:   t-norm's clamp, 1.0 from the t-conorms') and every later step over
-#:   [0, 1] gives again.  The Product t-norm has none: 0.0 * -0.0 is -0.0.
+#:   [0, 1] gives again.  The Product t-norm, operator.mul, has none:
+#:   0.0 * -0.0 is -0.0.
 #: - drops: when a monotone deque drops its back value for a new one, or
 #:   None: only when the new one is strictly better, so the first of equal
 #:   values stays in front.
 _CONNECTIVES = {
-    algebra._minimum: (algebra._minimum, min, 0.0, gt),
-    algebra._maximum: (algebra._maximum, max, 1.0, lt),
-    algebra._luk_tnorm: (algebra._luk_tnorm, None, 0.0, None),
-    algebra._luk_tconorm: (algebra._luk_tconorm, None, 1.0, None),
-    algebra._prod_tnorm: (mul, math.prod, None, None),
-    algebra._prod_tconorm: (algebra._prod_tconorm, None, 1.0, None),
+    algebra._minimum: (min, 0.0, gt),
+    algebra._maximum: (max, 1.0, lt),
+    algebra._luk_tnorm: (None, 0.0, None),
+    algebra._luk_tconorm: (None, 1.0, None),
+    algebra._prod_tnorm: (math.prod, None, None),
+    algebra._prod_tconorm: (None, 1.0, None),
 }
 
 
@@ -138,8 +116,8 @@ _CONNECTIVES = {
 _BINARY = {
     interp: {
         spec.cls: {
-            "&": _CONNECTIVES[ops.tnorm][0],
-            "|": _CONNECTIVES[ops.tconorm][0],
+            "&": ops.tnorm,
+            "|": ops.tconorm,
             "->": ops.implies,
             "&&": algebra._minimum,
             "||": algebra._maximum,
@@ -225,7 +203,7 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
 def _fold(op, values) -> float:
     """Left fold of ``op`` over non-empty ``values`` in position order; a
     fold with no C fold stops at its saturated value, an absorbing element."""
-    _, c_fold, absorbing, _ = _CONNECTIVES[op]
+    c_fold, absorbing, _ = _CONNECTIVES[op]
     if c_fold is not None:
         return c_fold(values)
     it = iter(values)
@@ -244,7 +222,7 @@ def _slide(op, values, n: int, width: int) -> list:
     (Lemire, *Streaming Maximum-Minimum Filter*, 2006); the other folds fold
     each window, stopping at an absorbing element.
     """
-    drops = _CONNECTIVES[op][3]
+    drops = _CONNECTIVES[op][2]
     if drops is None or n == 1:
         return [_fold(op, values[i : i + width]) for i in range(n)]
     out = []
@@ -343,10 +321,11 @@ def _best_drop(tnorm, weights, values, kept, offset: int = 0) -> float:
     return best
 
 
-class _DropBuffer:
-    """Almost-always of a window that grows by one value at a time.
+def _relaxed_holds(values, tnorm, weights):
+    """The almost-always value of each prefix of ``values``, with the
+    avoidance weights eta(j), j < n_eta.
 
-    Holds the n_eta smallest values seen so far, ascending (values arrive in
+    Keeps the n_eta smallest values seen so far, ascending (values arrive in
     position order and an equal value goes after those already kept, so ties
     keep the earliest position, as in _select_smallest), and the t-norm fold
     of every value that left them or never entered.  Dropping the j smallest
@@ -355,36 +334,25 @@ class _DropBuffer:
     window order: the same value under min, equal up to rounding under the
     Archimedean t-norms.
     """
-
-    __slots__ = ("_tnorm", "_weights", "_kept", "_rest")
-
-    def __init__(self, tnorm, eta: AvoidingFunction) -> None:
-        self._tnorm = tnorm
-        self._weights = eta.table  # eta(j) for every j < n_eta
-        self._kept: list[float] = []
-        self._rest: Optional[float] = None  # None while no value is outside kept
-
-    def push(self, v: float) -> float:
-        """Append ``v`` to the window; returns the window's almost-always value."""
-        kept = self._kept
-        tnorm = self._tnorm
-        weights = self._weights
+    kept = []
+    rest = None  # None while no value is outside kept
+    for v in values:
         if len(kept) == len(weights):
             if v < kept[-1]:
                 insort(kept, v)
                 v = kept.pop()
-            self._rest = v if self._rest is None else tnorm(self._rest, v)
+            rest = v if rest is None else tnorm(rest, v)
         else:
             insort(kept, v)
         j = len(kept) - 1
-        acc = kept[j] if self._rest is None else tnorm(kept[j], self._rest)
+        acc = kept[j] if rest is None else tnorm(kept[j], rest)
         best = acc * weights[j]
         for j in range(j - 1, -1, -1):
             acc = tnorm(kept[j], acc)
             cand = acc * weights[j]
             if cand > best:
                 best = cand
-        return best
+        yield best
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +396,7 @@ class _Columns(dict):
 
 def _span(ctx, arg, pos, n, memo):
     """The values of ``arg`` at positions pos .. pos+n-1 and their tags:
-    None when every value is exact, else one Exactness per position.
+    None when every value is exact, else one tag per position.
 
     Each missing run of the column is filled by one handler call, in
     position order.  Past the end of a finite trace the span repeats the
@@ -452,7 +420,7 @@ def _span(ctx, arg, pos, n, memo):
         if v is None:
             (v,), tags = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
             values[i] = v
-            if tags is not None and tags[0] is not _EXACT:
+            if tags and tags[0]:
                 inexact[pos] = tags[0]
         ex = inexact.get(pos) if inexact else None
         return [v], None if ex is None else [ex]
@@ -491,7 +459,7 @@ def _span(ctx, arg, pos, n, memo):
             out, tags = handler(ctx, arg, lo + i, lo + k, memo)
             values[lo + i - base : lo + k - base] = out
             if tags is not None:
-                inexact.update((q, e) for q, e in zip(count(lo + i), tags) if e is not _EXACT)
+                inexact.update((q, e) for q, e in zip(count(lo + i), tags) if e)
             missing[i:k] = out
             i = missing.index(None, k)
     if stop <= length:
@@ -514,9 +482,7 @@ def _span(ctx, arg, pos, n, memo):
     tags = [inexact.get(q, _EXACT) for q in range(pos, min(stop, length))]
     if stop > length:
         tags += [inexact.get(length, _EXACT)] * (stop - max(pos, length))
-    if tags.count(_EXACT) == len(tags):
-        return out, None
-    return out, tags
+    return out, tags if any(tags) else None
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +524,7 @@ def _h_bot(ctx, f, lo, hi, memo):
 
 def _h_not(ctx, f, lo, hi, memo):
     values, tags = _span(ctx, f.arg, lo, hi - lo, memo)
-    return list(map(ctx.ops.neg, values)), tags and list(map(_flip, tags))
+    return list(map(ctx.ops.neg, values)), tags and list(map(_FLIPPED.__getitem__, tags))
 
 
 def _h_binary(ctx, f, lo, hi, memo):
@@ -568,7 +534,7 @@ def _h_binary(ctx, f, lo, hi, memo):
     if ltags is None and rtags is None:
         return out, None
     if ltags is not None and OPERATORS[type(f)].keyword == "->":  # antitone in its premise
-        ltags = list(map(_flip, ltags))
+        ltags = list(map(_FLIPPED.__getitem__, ltags))
     return out, _join(ltags, rtags)
 
 
@@ -609,7 +575,6 @@ def _h_lasts(ctx, f, lo, hi, memo):
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     tnorm = ctx.ops.tnorm
-    step = _CONNECTIVES[tnorm][0]
     j_top = min(t, ctx.eta.n_eta - 1)
     weights = ctx.eta.table[: j_top + 1]
     head = t + 1 - j_top  # every j keeps at least the window's first head values
@@ -617,7 +582,7 @@ def _h_lasts(ctx, f, lo, hi, memo):
     for i in range(n):
         # the prefix folds of the window that cut j = j_top .. 0 instants
         first = _fold(tnorm, values[i : i + head])
-        prefix = list(accumulate(values[i + head : i + t + 1], step, initial=first))
+        prefix = list(accumulate(values[i + head : i + t + 1], tnorm, initial=first))
         out.append(max(map(mul, reversed(prefix), weights)))
     return out, _window_tags(tags, n, t + 1)
 
@@ -649,7 +614,7 @@ def _point_fold(ctx, arg, pos, width, op, memo):
     joined exactness, read in chunks until the fold is saturated and every
     chunk was exact (a node is exact at every position or at none).  A fold
     with no saturated value reads its window at once."""
-    final = _CONNECTIVES[op][2]
+    final = _CONNECTIVES[op][1]
     if final is None:
         spans = [_span(ctx, arg, pos, width, memo)]
     else:
@@ -657,8 +622,8 @@ def _point_fold(ctx, arg, pos, width, op, memo):
     acc, tag = None, _EXACT
     for values, tags in spans:
         acc = _fold(op, values if acc is None else chain((acc,), values))
-        tag = functools.reduce(_combine, set(tags or ()), tag)
-        if acc == final and tag is _EXACT:
+        tag = functools.reduce(or_, set(tags or ()), tag)
+        if acc == final and not tag:
             break
     return acc, tag
 
@@ -669,7 +634,7 @@ def _fold_window(ctx, f, lo, hi, t, memo, unit):
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if n == 1:
         v, tag = _point_fold(ctx, f.arg, lo, t + 1, op, memo)
-        return [v], None if tag is _EXACT else [tag]
+        return [v], [tag] if tag else None
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     return _slide(op, values, n, t + 1), _window_tags(tags, n, t + 1)
 
@@ -692,25 +657,14 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
     return out, _window_tags(tags, n, t + 1)
 
 
-def _prefix_fold(ctx):
-    """U's hold: the running fold of the prefix under the t-norm step."""
-    return accumulate, 0
-
-
-def _relaxed_fold(ctx):
-    """AU's hold: the almost-always value of each prefix.  Once it holds
-    n_eta values the j range is fixed, so a further value can only lower
-    every retained fold."""
-    tnorm, eta = ctx.ops.tnorm, ctx.eta
-    return (lambda values, _: map(_DropBuffer(tnorm, eta).push, values)), eta.n_eta
-
-
-def _until_window(ctx, f, lo, hi, t, memo, hold):
+def _until_window(ctx, f, lo, hi, t, memo, almost):
     """U[t] or AU[t]: the first largest of right[i] and, for k = 1 .. t, the
     t-norm step of the held fold of left[i : i + k] with right[i + k].
-    ``hold(ctx)`` gives (fold, min_k): fold(values, step) maps a window's
-    left values to the held fold of each prefix, which never increases from
-    the min_k-th prefix on.
+    Until holds the running t-norm fold of each prefix; almost-until
+    (``almost``) holds each prefix's almost-always value (_relaxed_holds).
+    A held fold never increases from the min_k-th prefix on: from the first
+    for until, and from the n_eta-th for almost-until, once the j range is
+    fixed and a further value can only lower every retained fold.
 
     A held fold is at most 1.0 and each rounded t-norm is monotone in both
     arguments, so no candidate at q beats cap(q) = step(1.0, right[q]); under
@@ -739,8 +693,9 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
     tags = _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
     if t == 0:
         return right[:n], tags
-    fold, min_k = hold(ctx)
-    step = _CONNECTIVES[ctx.ops.tnorm][0]
+    step = ctx.ops.tnorm
+    weights = ctx.eta.table
+    min_k = ctx.eta.n_eta if almost else 0
     # each window's largest right value after right[i]: step(1.0, .) is
     # monotone, so its cap is the window's largest cap
     tops = _slide(algebra._maximum, right[1:], n, t)
@@ -758,12 +713,13 @@ def _until_window(ctx, f, lo, hi, t, memo, hold):
             key = (v, math.copysign(1.0, v))
             held = holds.get(key)
             if held is None:
-                held = holds[key] = list(fold(window, step))
+                held = _relaxed_holds(window, step, weights) if almost else accumulate(window, step)
+                held = holds[key] = list(held)
             best = max(chain((best,), map(step, held, ahead)))
-        elif fold is accumulate:  # until's prefix folds run in C
+        elif not almost:  # until's prefix folds run in C
             best = max(chain((best,), map(step, accumulate(window, step), ahead)))
         else:
-            best = _scan(best, ahead, fold(window, step), step, min_k)
+            best = _scan(best, ahead, _relaxed_holds(window, step, weights), step, min_k)
         out.append(best)
     return out, tags
 
@@ -815,7 +771,7 @@ def _unb_fold(ctx, f, start, memo, unit):
     head = max(0, ctx.trace.loop_start - start)
     period = ctx.trace.loop_length
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
-    if ctx.interp in _IDEMPOTENT:
+    if ctx.ops.tnorm is algebra._minimum:
         return _point_fold(ctx, f.arg, start, head + period, op, memo)[0]
     # a loop value other than the unit recurs forever and drives the fold to
     # the absorbing element: 0 for the t-norm, 1 for the t-conorm
@@ -828,7 +784,7 @@ def _unb_almost_always(ctx, f, start, memo, _):
     head = max(0, ctx.trace.loop_start - start)
     eta = ctx.eta
     period = ctx.trace.loop_length
-    if ctx.interp in _IDEMPOTENT:
+    if ctx.ops.tnorm is algebra._minimum:
         values = _span(ctx, f.arg, start, head + period, memo)[0]
         # loop values recur forever, so dropping them is futile: the j-th
         # smallest kept is a prefix value only below the loop's minimum (the
@@ -851,27 +807,29 @@ def _unb_almost_always(ctx, f, start, memo, _):
     return best
 
 
-def _unb_until(ctx, f, start, memo, hold):
+def _unb_until(ctx, f, start, memo, almost):
     """Lasso U or AU: the U[t] or AU[t] window at ``start``.  From the
-    min_k-th prefix on the held fold never increases, so every candidate one
-    full loop later is dominated: the pre-loop stretch (at least min_k
-    values) plus one period holds the limit."""
+    min_k-th prefix on (see _until_window) the held fold never increases, so
+    every candidate one full loop later is dominated: the pre-loop stretch
+    (at least min_k values) plus one period holds the limit."""
     head = max(0, ctx.trace.loop_start - start)
-    t = max(head, hold(ctx)[1]) + ctx.trace.loop_length
-    return _until_window(ctx, f, start, start + 1, t, memo, hold)[0][0]
+    min_k = ctx.eta.n_eta if almost else 0
+    t = max(head, min_k) + ctx.trace.loop_length
+    return _until_window(ctx, f, start, start + 1, t, memo, almost)[0][0]
 
 
 #: Unbounded keyword -> (window kernel, exact lasso limit, the tag of a
 #: finite trace's largest window, the argument both kernels take).  A twin
 #: family shares its kernels and differs in the argument: F and G in the unit
-#: of their fold, U and AU in the hold that folds the prefix.  Almost-always
+#: of their fold, U and AU in ``almost``, whether the hold of a prefix is its
+#: almost-always value rather than its t-norm fold.  Almost-always
 #: is not monotone in the horizon, so its finite result has no bound direction.
 _UNBOUNDED = {
     "F": (_fold_window, _unb_fold, _LOWER, 0.0),
     "G": (_fold_window, _unb_fold, _UPPER, 1.0),
     "AG": (_ag_window, _unb_almost_always, _APPROX, None),
-    "U": (_until_window, _unb_until, _LOWER, _prefix_fold),
-    "AU": (_until_window, _unb_until, _LOWER, _relaxed_fold),
+    "U": (_until_window, _unb_until, _LOWER, False),
+    "AU": (_until_window, _unb_until, _LOWER, True),
 }
 #: Every class with a twin -> its keyword's row; a bounded class has no limit.
 _TEMPORAL = {
@@ -894,7 +852,7 @@ def _h_temporal(ctx, f, lo, hi, memo):
     for p in range(lo, hi):
         (v,), ptags = window(ctx, f, p, p + 1, max(0, len(ctx.trace) - 1 - p), memo, arg)
         out.append(v)
-        tags.append(_combine(ptags[0] if ptags else _EXACT, tag))
+        tags.append(ptags[0] | tag if ptags else tag)
     return out, tags
 
 
@@ -938,14 +896,19 @@ def _run(ctx: EvalContext, pos: int, read):
         raise FormulaTooDeep("formula nests too deeply to evaluate") from None
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int, as a slice index reads it."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValidationError(f"{what} {x!r} is not an integer") from None
+
+
 def _position(ctx: EvalContext, pos) -> int:
     """``pos`` as an int, checked as where an evaluation starts: not
     negative, and not past the end of a finite trace under the strict
     policy, as ``Trace.resolve`` checks it."""
-    try:
-        pos = index(pos)
-    except TypeError:
-        raise ValidationError(f"position {pos!r} is not an integer") from None
+    pos = _integer(pos, "position")
     if pos < 0 or ctx.finite_policy is FinitePolicy.STRICT:
         ctx.trace.resolve(pos)  # raises PositionOutOfRange
     return pos
@@ -954,8 +917,10 @@ def _position(ctx: EvalContext, pos) -> int:
 def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
     """The truth degree of ``f`` along the trace from position ``pos``."""
     pos = _position(ctx, pos)
+    if type(f) not in _HANDLERS:
+        raise TypeError(f"unknown formula node {f!r}")
     (value,), tags = _run(ctx, pos, lambda memo: _span(ctx, f, pos, 1, memo))
-    return EvalResult(value, tags[0] if tags else _EXACT)
+    return EvalResult(value, _EXACTNESS[tags[0] if tags else _EXACT])
 
 
 def almost_always_fast(
@@ -973,8 +938,11 @@ def almost_always_fast(
     selection.
     """
     pos = _position(ctx, pos)
+    t = _integer(t, "window")
     if t < 0:
         raise ValidationError(f"negative window {t}")
+    if type(phi) not in _HANDLERS:
+        raise TypeError(f"unknown formula node {phi!r}")
     values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo)[0])
     keep = min(t, ctx.eta.n_eta - 1) + 1
     kept = _select_smallest(values, keep, counter)

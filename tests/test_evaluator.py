@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -431,6 +432,52 @@ class TestStartPositions:
         lasso = ctx_for(self.LASSO)
         assert eval_unbounded_lasso(lasso, Always(Atom("p")), Two()) == 0.5
 
+    @pytest.mark.parametrize("t", [1.5, 1.0, "1", None])
+    def test_a_window_that_is_not_an_integer_is_a_validation_error(self, t):
+        ctx = ctx_for(Trace(("p",), ((0.1,), (0.2,), (1.0,))))
+        with pytest.raises(ValidationError, match=f"^window {t!r} is not an integer$"):
+            almost_always_fast(ctx, Atom("p"), 0, t)
+
+    def test_integral_windows_are_integers(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        ctx = ctx_for(Trace(("p",), ((0.1,), (0.2,), (1.0,))))
+        one = almost_always_fast(ctx, Atom("p"), 0, 1)
+        assert almost_always_fast(ctx, Atom("p"), 0, True) == one
+        assert almost_always_fast(ctx, Atom("p"), 0, One()) == one
+
+    def test_a_value_that_is_not_a_formula_node_is_a_type_error(self):
+        ctx = ctx_for(WORKED)
+        with pytest.raises(TypeError, match="^unknown formula node 'p'$"):
+            evaluate(ctx, "p")
+        with pytest.raises(TypeError, match="^unknown formula node None$"):
+            almost_always_fast(ctx, None, 0, 1)
+
+
+def test_exactness_tags_join_and_flip():
+    # on a 3-state finite trace p is exact, F p a lower bound, G p an upper
+    # bound and AG p approximate; && is monotone in both arguments, ! and the
+    # premise of -> are antitone
+    ctx = ctx_for(Trace(("p",), ((0.1,), (0.2,), (1.0,))))
+    E, A = Exactness.EXACT, Exactness.APPROXIMATE
+    LB, UB = Exactness.LOWER_BOUND, Exactness.UPPER_BOUND
+    children = {"p": E, "F p": LB, "G p": UB, "AG p": A}
+    joined = {
+        E: {E: E, LB: LB, UB: UB, A: A},
+        LB: {E: LB, LB: LB, UB: A, A: A},
+        UB: {E: UB, LB: A, UB: UB, A: A},
+        A: {E: A, LB: A, UB: A, A: A},
+    }
+    flipped = {E: E, LB: UB, UB: LB, A: A}
+    for x, ex in children.items():
+        assert evaluate(ctx, parse(x)).exactness is ex
+        for y, ey in children.items():
+            assert evaluate(ctx, parse(f"({x}) && ({y})")).exactness is joined[ex][ey], (x, y)
+        assert evaluate(ctx, parse(f"!({x})")).exactness is flipped[ex], x
+        assert evaluate(ctx, parse(f"({x}) -> p")).exactness is flipped[ex], x
+
 
 def test_within_equals_eventually_when_crisp_table():
     trace = Trace(("p",), ((0.0,), (0.0,), (0.9,), (0.4,)))
@@ -489,10 +536,10 @@ def test_connective_rows_hold():
     values = [i / 16 for i in range(17)] + [0.1, 0.3, 1 / 3, 0.7, 0.9, 2.0**-60, 1 - 2.0**-53, -0.0]
     connectives = {op for i in Interpretation for op in (algebra.ops_for(i).tnorm, algebra.ops_for(i).tconorm)}
     assert set(evaluator._CONNECTIVES) == connectives
-    for op, (step, c_fold, saturated, drops) in evaluator._CONNECTIVES.items():
+    assert algebra._prod_tnorm is operator.mul
+    for op, (c_fold, saturated, drops) in evaluator._CONNECTIVES.items():
         pairs = list(itertools.product(values, repeat=2))
         for a, b in pairs:
-            assert step(a, b).hex() == op(a, b).hex(), (op.__name__, a, b)
             if drops is not None:  # drops the back value when the step replaces it
                 assert drops(a, b) == (op(a, b).hex() != a.hex()), (op.__name__, a, b)
         if c_fold is not None:
@@ -505,7 +552,7 @@ def test_connective_rows_hold():
             reached = [op(a, b) for a, b in pairs] + (values if c_fold is not None else [])
             for x in (x for x in reached if x == saturated):
                 for v in values:
-                    assert step(x, v).hex() == x.hex(), (op.__name__, x, v)
+                    assert op(x, v).hex() == x.hex(), (op.__name__, x, v)
 
 
 def _close(interp, got, want):
@@ -776,7 +823,7 @@ def _until_reference(ctx, almost, t, n):
     out = []
     for i in range(n):
         if almost:
-            held = map(evaluator._DropBuffer(ctx.ops.tnorm, ctx.eta).push, left[i : i + t])
+            held = evaluator._relaxed_holds(left[i : i + t], ctx.ops.tnorm, ctx.eta.table)
         else:
             held = itertools.accumulate(left[i : i + t], step)
         out.append(max(itertools.chain((right[i],), map(step, held, right[i + 1 : i + t + 1]))))
@@ -954,7 +1001,7 @@ def _full_fold_line(ctx, f, pos):
     trace = ctx.trace
     unit = 1.0 if isinstance(f, (Always, AlwaysB)) else 0.0
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
-    tag = Exactness.EXACT
+    tag = evaluator._EXACT
     try:
         if isinstance(f, (AlwaysB, EventuallyB)):
             values, tags = _range_read(ctx, f.arg, pos, f.bound + 1)
@@ -972,12 +1019,12 @@ def _full_fold_line(ctx, f, pos):
         else:  # the largest window, bounded by its direction
             start = min(pos, len(trace))
             values, tags = _range_read(ctx, f.arg, start, max(1, len(trace) - start))
-            tag = Exactness.UPPER_BOUND if unit else Exactness.LOWER_BOUND
+            tag = evaluator._UPPER if unit else evaluator._LOWER
         value = functools.reduce(op, values)
-        tag = functools.reduce(evaluator._combine, tags or (), tag)
+        tag = functools.reduce(operator.or_, tags or (), tag)
     except FtlError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return f"{value.hex()} {tag.value}"
+    return f"{value.hex()} {evaluator._EXACTNESS[tag].value}"
 
 
 def _saturation_trace(rng, n=900, at=320):
@@ -1084,12 +1131,16 @@ def _full_limit_line(ctx, f, pos):
                 weights = map(eta.lookup, range(len(sp) - 1, -1, -1))
                 value = max([eta.lookup(len(sp)), *map(algebra.scale, folds, weights)])
         else:
-            fold, min_k = evaluator._TEMPORAL[type(f)][3](ctx)
-            scan = max(pre, min_k) + trace.loop_length + 1
+            almost = evaluator._TEMPORAL[type(f)][3]
+            scan = max(pre, eta.n_eta if almost else 0) + trace.loop_length + 1
             right = _range_read(ctx, f.right, start, scan)[0]
             left = _range_read(ctx, f.left, start, scan - 1)[0]
             step = ctx.ops.tnorm
-            value = max([right[0]] + list(map(step, fold(left, step), right[1:])))
+            if almost:
+                held = evaluator._relaxed_holds(left, step, eta.table)
+            else:
+                held = itertools.accumulate(left, step)
+            value = max([right[0]] + list(map(step, held, right[1:])))
     except FtlError as exc:
         return f"{type(exc).__name__}: {exc}"
     return value.hex()

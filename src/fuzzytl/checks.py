@@ -10,6 +10,7 @@ well inside the oracle's budget.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -50,6 +51,8 @@ from .errors import BudgetExceeded
 from .evaluator import (
     EvalContext,
     FinitePolicy,
+    _run,
+    _span,
     almost_always_fast,
     eval_unbounded_lasso,
     evaluate,
@@ -231,10 +234,6 @@ def random_formula(
 # ---------------------------------------------------------------------------
 
 
-def _value(ctx: EvalContext, f: Formula, pos: int) -> float:
-    return evaluate(ctx, f, pos).value
-
-
 def _case_detail(ctx: EvalContext, pos: int, text: str) -> Callable[[], str]:
     def build() -> str:
         return (
@@ -246,175 +245,122 @@ def _case_detail(ctx: EvalContext, pos: int, text: str) -> Callable[[], str]:
     return build
 
 
-def _chain_checks(
-    report: SuiteReport, ctx: EvalContext, phi: Formula, psi: Formula, pos: int, t: int, tp: int
-) -> None:
-    n_eta = ctx.eta.n_eta
-    lasso = ctx.trace.is_lasso
-    v = lambda f: _value(ctx, f, pos)
-    phi_text = format_formula(phi)
+def _chain_terms(phi: Formula, psi: Formula, t: int, tp: int, n_eta: int, lasso: bool) -> dict:
+    """Every term a chain law reads, built once per case and keyed by the
+    label its failure detail shows, or by a key of its own where two terms
+    share a label."""
+    nxt = Next(phi)
+    terms = dict(
+        phi=phi, psi=psi, next=nxt, soon=Soon(phi),
+        f0=EventuallyB(0, phi), ft=EventuallyB(t, phi), ftp=EventuallyB(tp, phi),
+        f_wide=EventuallyB(t + n_eta, phi), wt=Within(t, phi),
+        gt=AlwaysB(t, phi), gtp=AlwaysB(tp, phi), g1=AlwaysB(1, phi), and_next=And(phi, nxt),
+        agt=AlmostAlwaysB(t, phi), lt=Lasts(t, phi), ltp=Lasts(tp, phi),
+        u0=UntilB(0, phi, psi), ut=UntilB(t, phi, psi), utp=UntilB(tp, phi, psi),
+        aut=AlmostUntilB(t, phi, psi), autp=AlmostUntilB(tp, phi, psi),
+    )
+    if t >= 1:  # the unfoldings, and each until's previous window and step
+        g_prev, later = AlwaysB(t - 1, phi), _nexts(t, psi)
+        terms.update(
+            f_unf=Or(phi, Next(EventuallyB(t - 1, phi))), g_unf=And(phi, Next(g_prev)),
+            u_prev=UntilB(t - 1, phi, psi), step=And(g_prev, later),
+            au_prev=AlmostUntilB(t - 1, phi, psi), step_au=And(AlmostAlwaysB(t - 1, phi), later),
+        )
+    if lasso:  # the unbounded limits
+        terms.update(
+            f=Eventually(phi), g=Always(phi), ag=AlmostAlways(phi),
+            u=Until(phi, psi), f_psi=Eventually(psi), au=AlmostUntil(phi, psi),
+        )
+    return terms
 
-    def d(**vals):
-        # lazy: only built when a law actually fails
-        def build() -> str:
-            shown = " ".join(f"{k}={val!r}" for k, val in vals.items())
+
+#: The chain laws, in check order: name; guard, "always", "lasso" (lasso
+#: traces only) or "t>=1"; the ``_chain_terms`` keys its failure detail shows,
+#: in order, each as key or label=key; and whether it holds, over the case's t
+#: and the shown terms' values at one position.
+_CHAIN_LAWS = (
+    ("next-below-soon", "always", "next soon", lambda t, nxt, soon: nxt <= soon + TOL),
+    ("eventually-chain-base", "always", "f0 phi", lambda t, f0, phi: abs(f0 - phi) <= TOL),
+    ("eventually-chain-grow", "always", "phi ft ftp",
+     lambda t, phi, ft, ftp: phi <= ft + TOL and ft <= ftp + TOL),
+    ("eventually-chain-limit", "lasso", "ftp f", lambda t, ftp, f: ftp <= f + TOL),
+    ("always-chain", "always", "gtp gt g1 phi", lambda t, gtp, gt, g1, phi:
+     gtp <= gt + TOL and (gt <= g1 + TOL if t >= 1 else True) and g1 <= phi + TOL),
+    ("always-one-is-and-next", "always", "g1 and_next", lambda t, g1, conj: abs(g1 - conj) <= TOL),
+    ("always-chain-limit", "lasso", "g gtp", lambda t, g, gtp: g <= gtp + TOL),
+    ("always-below-eventually", "lasso", "g f", lambda t, g, f: g <= f + TOL),
+    ("within-squeeze", "always", "ft wt f_wide",
+     lambda t, ft, wt, f_wide: ft <= wt + TOL and wt <= f_wide + TOL),
+    ("always-below-within", "always", "gtp wt", lambda t, gtp, wt: gtp <= wt + TOL),
+    ("always-below-eventually-b", "always", "gt ftp gtp ft",
+     lambda t, gt, ftp, gtp, ft: gt <= ftp + TOL and gtp <= ft + TOL),
+    ("almost-always-above-always", "always", "agt gt", lambda t, agt, gt: agt >= gt - TOL),
+    ("lasts-between", "always", "gt lt agt",
+     lambda t, gt, lt, agt: gt <= lt + TOL and lt <= agt + TOL),
+    ("lasts-non-increasing", "always", "ltp lt", lambda t, ltp, lt: ltp <= lt + TOL),
+    ("almost-always-limit-above-always", "lasso", "ag g", lambda t, ag, g: ag >= g - TOL),
+    ("until-chain-base", "always", "u0 psi", lambda t, u0, psi: abs(u0 - psi) <= TOL),
+    ("until-chain-grow", "always", "psi ut utp",
+     lambda t, psi, ut, utp: psi <= ut + TOL and ut <= utp + TOL),
+    ("almost-until-above-until", "always", "ut aut utp autp",
+     lambda t, ut, aut, utp, autp: ut <= aut + TOL and utp <= autp + TOL),
+    ("until-chain-limit", "lasso", "utp u f_psi",
+     lambda t, utp, u, f_psi: utp <= u + TOL and u <= f_psi + TOL),
+    ("almost-until-chain-limit", "lasso", "autp au", lambda t, autp, au: autp <= au + TOL),
+    ("eventually-unfold", "t>=1", "ft unfolded=f_unf", lambda t, ft, unf: abs(ft - unf) <= TOL),
+    ("always-unfold", "t>=1", "gt unfolded=g_unf", lambda t, gt, unf: abs(gt - unf) <= TOL),
+    ("until-recursion", "t>=1", "ut u_prev step",
+     lambda t, ut, prev, step: abs(ut - max(prev, step)) <= TOL),
+    ("almost-until-recursion", "t>=1", "aut au_prev step=step_au",
+     lambda t, aut, prev, step: abs(aut - max(prev, step)) <= TOL),
+)
+
+
+def _chain_checks(report: SuiteReport, ctx: EvalContext, t: int, tp: int, terms: dict) -> None:
+    """Every chain law at every position of one context, read from one
+    range fill of each term's column over a memo all the terms share."""
+    trace, n, loop = ctx.trace, len(ctx.trace), ctx.trace.loop_start
+    cols = _run(ctx, 0, lambda memo: {k: _span(ctx, f, 0, n, memo)[0] for k, f in terms.items()})
+    applies = {"always": True, "lasso": loop is not None, "t>=1": t >= 1}
+    laws = [(law, shown, [cols[s.split("=")[-1]] for s in shown.split()], holds)
+            for law, guard, shown, holds in _CHAIN_LAWS if applies[guard]]
+    phi_text, phi_col = format_formula(terms["phi"]), cols["phi"]
+
+    def check(pos, law, ok, shown, values):
+        def detail() -> str:  # built only when the law fails
+            pairs = " ".join(f"{s.split('=')[0]}={v!r}" for s, v in zip(shown.split(), values))
             return (
-                f"{phi_text} {shown} | interp={ctx.interp.value} pos={pos} t={t} t'={tp} "
-                f"eta={list(ctx.eta.table)} loop={ctx.trace.loop_start} "
-                f"states={[list(r) for r in ctx.trace.states]}"
+                f"{phi_text} {pairs} | interp={ctx.interp.value} pos={pos} t={t} t'={tp} "
+                f"eta={list(ctx.eta.table)} loop={loop} states={[list(r) for r in trace.states]}"
             )
 
-        return build
+        report.check(law, ok, detail)
 
-    base = v(phi)
-    x_phi = v(Next(phi))
-    soon = v(Soon(phi))
-    report.check("next-below-soon", x_phi <= soon + TOL, d(next=x_phi, soon=soon))
-
-    f_0 = v(EventuallyB(0, phi))
-    f_t, f_tp = v(EventuallyB(t, phi)), v(EventuallyB(tp, phi))
-    report.check("eventually-chain-base", abs(f_0 - base) <= TOL, d(f0=f_0, phi=base))
-    report.check(
-        "eventually-chain-grow",
-        base <= f_t + TOL and f_t <= f_tp + TOL,
-        d(phi=base, ft=f_t, ftp=f_tp),
-    )
-    if lasso:
-        f_inf = v(Eventually(phi))
-        report.check("eventually-chain-limit", f_tp <= f_inf + TOL, d(ftp=f_tp, f=f_inf))
-
-    g_t, g_tp = v(AlwaysB(t, phi)), v(AlwaysB(tp, phi))
-    g_one = v(AlwaysB(1, phi))
-    ordered_below_one = g_t <= g_one + TOL if t >= 1 else True
-    report.check(
-        "always-chain",
-        g_tp <= g_t + TOL and ordered_below_one and g_one <= base + TOL,
-        d(gtp=g_tp, gt=g_t, g1=g_one, phi=base),
-    )
-    and_next = v(And(phi, Next(phi)))
-    report.check("always-one-is-and-next", abs(g_one - and_next) <= TOL, d(g1=g_one, and_next=and_next))
-    if lasso:
-        g_inf = v(Always(phi))
-        f_inf = v(Eventually(phi))
-        report.check("always-chain-limit", g_inf <= g_tp + TOL, d(g=g_inf, gtp=g_tp))
-        report.check("always-below-eventually", g_inf <= f_inf + TOL, d(g=g_inf, f=f_inf))
-
-    w_t = v(Within(t, phi))
-    f_wide = v(EventuallyB(t + n_eta, phi))
-    report.check(
-        "within-squeeze",
-        f_t <= w_t + TOL and w_t <= f_wide + TOL,
-        d(ft=f_t, wt=w_t, f_wide=f_wide),
-    )
-    report.check("always-below-within", g_tp <= w_t + TOL, d(gtp=g_tp, wt=w_t))
-    report.check(
-        "always-below-eventually-b",
-        g_t <= f_tp + TOL and g_tp <= f_t + TOL,
-        d(gt=g_t, ftp=f_tp, gtp=g_tp, ft=f_t),
-    )
-
-    ag_t = v(AlmostAlwaysB(t, phi))
-    l_t = v(Lasts(t, phi))
-    l_tp = v(Lasts(tp, phi))
-    report.check("almost-always-above-always", ag_t >= g_t - TOL, d(agt=ag_t, gt=g_t))
-    report.check(
-        "lasts-between", g_t <= l_t + TOL and l_t <= ag_t + TOL, d(gt=g_t, lt=l_t, agt=ag_t)
-    )
-    report.check("lasts-non-increasing", l_tp <= l_t + TOL, d(ltp=l_tp, lt=l_t))
-    if lasso:
-        ag_inf = v(AlmostAlways(phi))
-        g_inf = v(Always(phi))
-        report.check(
-            "almost-always-limit-above-always", ag_inf >= g_inf - TOL, d(ag=ag_inf, g=g_inf)
-        )
-
-    u_0 = v(UntilB(0, phi, psi))
-    u_t, u_tp = v(UntilB(t, phi, psi)), v(UntilB(tp, phi, psi))
-    au_t, au_tp = v(AlmostUntilB(t, phi, psi)), v(AlmostUntilB(tp, phi, psi))
-    psi_v = v(psi)
-    report.check("until-chain-base", abs(u_0 - psi_v) <= TOL, d(u0=u_0, psi=psi_v))
-    report.check(
-        "until-chain-grow",
-        psi_v <= u_t + TOL and u_t <= u_tp + TOL,
-        d(psi=psi_v, ut=u_t, utp=u_tp),
-    )
-    report.check(
-        "almost-until-above-until",
-        u_t <= au_t + TOL and u_tp <= au_tp + TOL,
-        d(ut=u_t, aut=au_t, utp=u_tp, autp=au_tp),
-    )
-    if lasso:
-        u_inf = v(Until(phi, psi))
-        f_psi = v(Eventually(psi))
-        au_inf = v(AlmostUntil(phi, psi))
-        report.check(
-            "until-chain-limit",
-            u_tp <= u_inf + TOL and u_inf <= f_psi + TOL,
-            d(utp=u_tp, u=u_inf, f_psi=f_psi),
-        )
-        report.check("almost-until-chain-limit", au_tp <= au_inf + TOL, d(autp=au_tp, au=au_inf))
-
-    if t >= 1:
-        f_unf = v(Or(phi, Next(EventuallyB(t - 1, phi))))
-        report.check("eventually-unfold", abs(f_t - f_unf) <= TOL, d(ft=f_t, unfolded=f_unf))
-        g_unf = v(And(phi, Next(AlwaysB(t - 1, phi))))
-        report.check("always-unfold", abs(g_t - g_unf) <= TOL, d(gt=g_t, unfolded=g_unf))
-        step = _value(ctx, And(AlwaysB(t - 1, phi), _nexts(t, psi)), pos)
-        u_prev = v(UntilB(t - 1, phi, psi))
-        report.check(
-            "until-recursion",
-            abs(u_t - max(u_prev, step)) <= TOL,
-            d(ut=u_t, u_prev=u_prev, step=step),
-        )
-        step_au = _value(ctx, And(AlmostAlwaysB(t - 1, phi), _nexts(t, psi)), pos)
-        au_prev = v(AlmostUntilB(t - 1, phi, psi))
-        report.check(
-            "almost-until-recursion",
-            abs(au_t - max(au_prev, step_au)) <= TOL,
-            d(aut=au_t, au_prev=au_prev, step=step_au),
-        )
-
-    if lasso and ctx.interp in IDEMPOTENT:
-        start = ctx.trace.resolve(pos)
-        scan = range(start, ctx.trace.loop_start) if start < ctx.trace.loop_start else ()
-        suffix = [_value(ctx, phi, p) for p in scan]
-        base_pos = max(start, ctx.trace.loop_start)
-        suffix += [_value(ctx, phi, base_pos + k) for k in range(ctx.trace.loop_length)]
-        constant = max(suffix) - min(suffix) <= TOL
-        f_inf, g_inf = v(Eventually(phi)), v(Always(phi))
-        equal = abs(f_inf - g_inf) <= TOL
-        report.check(
-            "eventually-equals-always-iff-constant",
-            constant == equal,
-            d(f=f_inf, g=g_inf, suffix_values=suffix),
-        )
-
-        horizon = max(0, ctx.trace.loop_start - start) + 3 * ctx.trace.loop_length
-        l_far = v(Lasts(horizon, phi))
-        report.check(
-            "lasts-converges-to-always", abs(l_far - g_inf) <= 1e-9, d(l_far=l_far, g=g_inf)
-        )
-    if lasso and ctx.interp not in IDEMPOTENT:
-        start = ctx.trace.resolve(pos)
-        base_pos = max(start, ctx.trace.loop_start)
-        loop_vals = [_value(ctx, phi, base_pos + k) for k in range(ctx.trace.loop_length)]
-        g_inf = v(Always(phi))
-        if any(val < 1.0 for val in loop_vals):
-            report.check(
-                "always-limit-archimedean-zero", g_inf == 0.0, d(g=g_inf, loop_values=loop_vals)
-            )
+    if loop is not None and ctx.interp in IDEMPOTENT:  # how far Lasts reads from each position
+        far = [Lasts(max(0, loop - p) + 3 * trace.loop_length, terms["phi"]) for p in range(n)]
+    for pos in range(n):
+        for law, shown, cells, holds in laws:
+            values = [col[pos] for col in cells]
+            check(pos, law, holds(t, *values), shown, values)
+        if loop is None:
+            continue
+        # the lasso's shape: phi from pos up to the loop, then once round it
+        prefix, start = phi_col[pos:loop], max(pos, loop)
+        cycle = [phi_col[trace.resolve(p)] for p in range(start, start + trace.loop_length)]
+        g = cols["g"][pos]
+        if ctx.interp in IDEMPOTENT:
+            suffix, f = prefix + cycle, cols["f"][pos]
+            constant, equal = max(suffix) - min(suffix) <= TOL, abs(f - g) <= TOL
+            check(pos, "eventually-equals-always-iff-constant", constant == equal,
+                  "f g suffix_values", (f, g, suffix))
+            l_far = evaluate(ctx, far[pos], pos).value
+            check(pos, "lasts-converges-to-always", abs(l_far - g) <= 1e-9, "l_far g", (l_far, g))
+        elif any(val < 1.0 for val in cycle):
+            check(pos, "always-limit-archimedean-zero", g == 0.0, "g loop_values", (g, cycle))
         else:
-            prefix_vals = [_value(ctx, phi, p) for p in range(start, ctx.trace.loop_start)]
-            expected = 1.0
-            if prefix_vals:
-                expected = prefix_vals[0]
-                for val in prefix_vals[1:]:
-                    expected = ctx.ops.tnorm(expected, val)
-            report.check(
-                "always-limit-archimedean-prefix",
-                abs(g_inf - expected) <= TOL,
-                d(g=g_inf, prefix_product=expected),
-            )
+            product = functools.reduce(ctx.ops.tnorm, prefix) if prefix else 1.0
+            check(pos, "always-limit-archimedean-prefix", abs(g - product) <= TOL,
+                  "g prefix_product", (g, product))
 
 
 def run_chain_suite(seed: int, cases: int) -> SuiteReport:
@@ -427,10 +373,10 @@ def run_chain_suite(seed: int, cases: int) -> SuiteReport:
         phi = random_formula(rng, depth=2, n_eta=eta.n_eta, allow_unbounded=False)
         psi = random_formula(rng, depth=1, n_eta=eta.n_eta, allow_unbounded=False)
         t, tp = sorted((rng.randint(0, 4), rng.randint(0, 4)))
+        terms = _chain_terms(phi, psi, t, tp, eta.n_eta, trace.is_lasso)
         for interp in ALL_INTERPS:
             ctx = EvalContext(trace, interp, eta, FinitePolicy.PAD_ZERO)
-            for pos in range(len(trace)):
-                _chain_checks(report, ctx, phi, psi, pos, t, tp)
+            _chain_checks(report, ctx, t, tp, terms)
     return report
 
 

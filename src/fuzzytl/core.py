@@ -157,6 +157,12 @@ _set_size = Formula.size.__set__
 _set_hash = Formula._hash.__set__
 
 
+def _unknown(*kids) -> TypeError:
+    """``evaluate``'s error, naming the first child without a node's size."""
+    bad = next(k for k in kids if not isinstance(getattr(k, "size", None), int))
+    return TypeError(f"unknown formula node {bad!r}")
+
+
 def _init_leaf(self):
     _set_size(self, 1)
     _set_hash(self, hash(()))
@@ -170,7 +176,10 @@ def _init_name(self, name):
 
 def _init_arg(self, arg):
     _set(self, "arg", arg)
-    _set_size(self, arg.size + 1)
+    try:
+        _set_size(self, arg.size + 1)
+    except (AttributeError, TypeError):
+        raise _unknown(arg) from None
     _set_hash(self, hash((arg,)))
 
 
@@ -178,7 +187,10 @@ def _init_bound_arg(self, bound, arg):
     _check_bound(bound)
     _set(self, "bound", bound)
     _set(self, "arg", arg)
-    _set_size(self, arg.size + 1)
+    try:
+        _set_size(self, arg.size + 1)
+    except (AttributeError, TypeError):
+        raise _unknown(arg) from None
     _set_hash(self, hash((bound, arg)))
 
 
@@ -186,14 +198,20 @@ def _init_index_arg(self, index, arg):
     _check_bound(index)
     _set(self, "index", index)
     _set(self, "arg", arg)
-    _set_size(self, arg.size + 1)
+    try:
+        _set_size(self, arg.size + 1)
+    except (AttributeError, TypeError):
+        raise _unknown(arg) from None
     _set_hash(self, hash((index, arg)))
 
 
 def _init_pair(self, left, right):
     _set(self, "left", left)
     _set(self, "right", right)
-    _set_size(self, left.size + right.size + 1)
+    try:
+        _set_size(self, left.size + right.size + 1)
+    except (AttributeError, TypeError):
+        raise _unknown(left, right) from None
     _set_hash(self, hash((left, right)))
 
 
@@ -202,7 +220,10 @@ def _init_bound_pair(self, bound, left, right):
     _set(self, "bound", bound)
     _set(self, "left", left)
     _set(self, "right", right)
-    _set_size(self, left.size + right.size + 1)
+    try:
+        _set_size(self, left.size + right.size + 1)
+    except (AttributeError, TypeError):
+        raise _unknown(left, right) from None
     _set_hash(self, hash((bound, left, right)))
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+from fuzzytl import checks
 from fuzzytl.checks import (
     SUITES,
     LOWERING_CORPUS,
@@ -7,6 +9,7 @@ from fuzzytl.checks import (
     random_eta,
     random_formula,
     random_trace,
+    run_chain_suite,
 )
 from fuzzytl.parser import format_formula, parse
 
@@ -59,3 +62,26 @@ def test_small_runs_of_every_suite_pass():
     for name, runner in SUITES.items():
         report = runner(11, 8)
         assert report.failures == 0, (name, report.lines())
+
+
+def test_chain_report_is_pinned():
+    report = run_chain_suite(7, 200)
+    assert (report.checks, len(report.laws)) == (72446, 28)
+    digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert digest == "af99ecf79922c9361168fdea6136201bcad73bd62937b676ee9e4dd829fab253"
+
+
+def test_a_failing_chain_law_reports_its_first_counterexample(monkeypatch):
+    laws = [
+        (name, guard, shown, lambda t, ltp, lt: lt <= ltp)
+        if name == "lasts-non-increasing"
+        else (name, guard, shown, holds)
+        for name, guard, shown, holds in checks._CHAIN_LAWS
+    ]
+    monkeypatch.setattr(checks, "_CHAIN_LAWS", tuple(laws))
+    failed = [line for line in run_chain_suite(7, 200).lines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL  lasts-non-increasing  (1148/3512 checks): O[2] W[3] p ltp=0.03125 lt=0.0390625"
+        " | interp=zadeh pos=0 t=0 t'=2 eta=[1.0, 0.6875, 0.125, 0.0625] loop=1"
+        " states=[[0.3125, 0.625], [0.25, 0.75]]"
+    ]

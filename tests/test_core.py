@@ -480,6 +480,33 @@ class TestNodeClasses:
                 del f.size
             assert tuple(getattr(f, name) for name in cls.__match_args__) == tuple(args.values())
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: Not("p"), "p"),
+            (lambda: And(Atom("p"), None), None),
+            (lambda: EventuallyB(2, 1.5), 1.5),
+            (lambda: UntilB(1, Atom("p"), "q"), "q"),
+            (lambda: Scale(1, None), None),
+            (lambda: Not(Atom), Atom),
+            (lambda: Or("p", None), "p"),
+        ],
+        ids=["Not-str", "And-None", "F[t]-float", "U[t]-str", "O[j]-None", "Not-class", "Or-first"],
+    )
+    def test_a_child_that_is_not_a_node_is_a_type_error(self, build, bad):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == f"unknown formula node {bad!r}"
+
+    def test_every_child_slot_of_every_kind_is_checked(self):
+        for cls, spec in OPERATORS.items():
+            params = () if spec.param is None else (1,)
+            for slot in range(len(spec.children)):
+                kids = [Atom("p")] * len(spec.children)
+                kids[slot] = [slot]
+                with pytest.raises(TypeError, match=rf"^unknown formula node \[{slot}\]$"):
+                    cls(*params, *kids)
+
     def test_class_patterns_match_positionally(self):
         match UntilB(2, Atom("p"), Next(Atom("q"))):
             case UntilB(bound, Atom(name), Next(Atom(inner))):

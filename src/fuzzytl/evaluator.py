@@ -590,7 +590,7 @@ def _h_lasts(ctx, f, lo, hi, memo):
 #: A chunked read's first chunk (a read this wide or narrower is one chunk),
 #: and the factor each later chunk grows what is read by: a read refills the
 #: overlap of the child's own windows, so fewer reads cost less.
-_FIRST_CHUNK = 64
+_FIRST_CHUNK = 16
 _GROWTH = 4
 
 
@@ -670,7 +670,10 @@ def _until_window(ctx, f, lo, hi, t, memo, almost):
     arguments, so no candidate at q beats cap(q) = step(1.0, right[q]); under
     Lukasiewicz that can round above right[q].  A window whose right[i] is
     at least every cap of the window takes right[i] with no fold.  A window
-    whose left values are one value, bit for bit, takes the hold list of that
+    of left 1.0s takes its largest cap: every hold is 1.0 (for almost-until
+    too, as eta(0) = 1), so candidate k is cap(i + k), and that cap exceeds
+    right[i] >= 0, so it is positive and a tie has its bits.  A window whose
+    left values are one value, bit for bit, takes the hold list of that
     value, folded once per fill.  An almost-until window folds its prefixes
     lazily and stops once its best so far is at least every cap still ahead,
     or, under Zadeh and Godel, once a hold that can only fall is at most its
@@ -703,13 +706,16 @@ def _until_window(ctx, f, lo, hi, t, memo, almost):
     out = []
     for i, top in enumerate(tops):
         best = right[i]
-        if best >= step(1.0, top):
+        cap = step(1.0, top)
+        if best >= cap:
             out.append(best)
             continue
         window, ahead = left[i : i + t], right[i + 1 : i + t + 1]
         v = window[0]
+        if v == 1.0 and window.count(v) == t:
+            best = cap  # every hold is 1.0
         # one value, bit for bit: 0.0 and -0.0 differ
-        if window.count(v) == t and (v or len(set(map(math.copysign, repeat(1.0), window))) == 1):
+        elif window.count(v) == t and (v or len(set(map(math.copysign, repeat(1.0), window))) == 1):
             key = (v, math.copysign(1.0, v))
             held = holds.get(key)
             if held is None:
@@ -856,18 +862,28 @@ def _h_temporal(ctx, f, lo, hi, memo):
     return out, tags
 
 
-#: Node class -> its handler: the temporal and binary kinds by level, the
-#: others by keyword (an atom has none).
+class _Handlers(dict):
+    """Node class -> its handler: the temporal and binary kinds by level, the
+    others by keyword (an atom has none).  A child of another class, which
+    the node constructors let through when it has an int ``size``, is met
+    here and raises the TypeError evaluate raises for such a root."""
+
+    __slots__ = ()
+
+    def __missing__(self, cls):
+        raise TypeError(f"unknown formula node of class {cls.__name__}")
+
+
 _BY_KEYWORD = {
     None: _h_atom, "true": _h_top, "false": _h_bot, "!": _h_not, "X": _h_next,
     "S": _h_soon, "L": _h_lasts, "W": _h_within, "O": _h_scale,
 }
-_HANDLERS = {
+_HANDLERS = _Handlers({
     spec.cls: _h_temporal if spec.twin is not None
     else _h_binary if spec.level < Level.UNARY
     else _BY_KEYWORD[spec.keyword]
     for spec in OPERATORS.values()
-}
+})
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,19 @@ class TestStartPositions:
         with pytest.raises(TypeError, match="^unknown formula node None$"):
             almost_always_fast(ctx, None, 0, 1)
 
+    def test_a_child_that_is_not_a_formula_node_is_a_type_error(self):
+        # the constructors read only a child's int size, so the evaluator is
+        # where such a child is met
+        class X:
+            size = 1
+
+        ctx = ctx_for(WORKED)
+        for f in (Not(X()), And(Atom("p"), X()), EventuallyB(2, X()), Until(X(), Atom("p"))):
+            with pytest.raises(TypeError, match="^unknown formula node of class X$"):
+                evaluate(ctx, f)
+        with pytest.raises(TypeError, match="^unknown formula node of class X$"):
+            almost_always_fast(ctx, Not(X()), 0, 1)
+
 
 def test_exactness_tags_join_and_flip():
     # on a 3-state finite trace p is exact, F p a lower bound, G p an upper
@@ -870,6 +883,106 @@ def test_bounded_until_columns_match_the_full_scan(interp, t):
             stride = 1 + t // 15  # every 5th point at t = 60 keeps the test short
             got = [evaluate(ctx, f, pos).value.hex() for pos in range(0, n, stride)]
             assert got == want[::stride], (text, eta)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+def test_crisp_guard_windows_take_their_cap(interp):
+    """A U[t] or AU[t] window whose left values are all 1.0 takes its
+    largest cap step(1.0, max right), the bits of scanning every window in
+    full: on off-grid right values with ties, 0.0, -0.0, 1.0, and 0.1 and
+    0.3, whose Lukasiewicz cap rounds above them; and as lasso limits."""
+    for t in (1, 3, 15, 60):
+        rng = random.Random(t)
+        n = 2 * t + 30
+        right = [rng.choice((0.0, -0.0, 0.1, 0.3, 1.0, rng.random(), rng.random())) for _ in range(n + t)]
+        for i in rng.sample(range(n + t), (n + t) // 4):
+            right[i] = right[rng.randrange(n + t)]  # ties
+        rows = tuple((1.0, r) for r in right)
+        lasso = Trace(("p", "q"), rows[: t + 9], loop_start=rng.randrange(t + 9))
+        for eta in (AvoidingFunction.crisp(), ETA_3, AvoidingFunction.gaussian(t + 4)):
+            ctx = ctx_for(Trace(("p", "q"), rows), interp, eta)
+            for almost, op in ((False, "U"), (True, "AU")):
+                f = parse(f"p {op}[{t}] q")
+                want = [v.hex() for v in _until_reference(ctx, almost, t, n)]
+                assert [v.hex() for v in _range_column(ctx, f, n)] == want, (f, eta)
+                assert [evaluate(ctx, f, pos).value.hex() for pos in range(n)] == want, (f, eta)
+                limit, lasso_ctx = parse(f"p {op} q"), ctx_for(lasso, interp, eta)
+                for pos in range(len(lasso) + 2):
+                    want = _full_limit_line(lasso_ctx, limit, pos)
+                    assert evaluate(lasso_ctx, limit, pos).value.hex() == want, (limit, eta, pos)
+
+
+@pytest.mark.parametrize("trace", ["pad-zero", "lasso"])
+def test_a_decided_point_fold_reads_one_first_chunk(trace):
+    """A point G[150] whose first inner value is the Lukasiewicz t-norm's
+    absorbing 0.0 fills 16 positions of its AG[3] child and no more."""
+    rng = random.Random(16)
+    rows = tuple((0.0,) if i < 4 else (rng.random(),) for i in range(200))
+    if trace == "lasso":
+        ctx = ctx_for(Trace(("q",), rows, loop_start=50), L)
+    else:
+        ctx = ctx_for(Trace(("q",), rows), L, policy=FinitePolicy.PAD_ZERO)
+    f = parse("G[150] (AG[3] q)")
+    memo = evaluator._run(ctx, 0, lambda memo: (evaluator._span(ctx, f, 0, 1, memo), memo)[1])
+    assert memo[id(f)][0][0] == 0.0
+    filled = [v is not None for v in memo[id(f.arg)][0]]
+    assert filled == [True] * 16 + [False] * (len(filled) - 16)
+
+
+#: Left sides rich in 1.0 (a crisp guard), right sides off-grid with 0.0,
+#: -0.0 and 1.0; ``{t}`` is an until window (up to 70) and ``{k}`` an F or G
+#: window (up to 80) around it.
+CRISP_GUARD_SHAPES = (
+    "s U[{t}] p", "s AU[{t}] p", "s U p", "s AU p",
+    "F[{k}] (s AU[{t}] p)", "G[{k}] (s U[{t}] p)", "G (s AU[{t}] p)", "F (s U[{t}] q)",
+    "G[{k}] (s AU[{t}] (p || q))", "(s && X s) AU[{t}] q", "G[{k}] (AG[{t}] s)", "F (AG[{t}] s)",
+)
+
+
+def crisp_guard_outcomes(cases=150, seed=22):
+    """One line per evaluation, as golden_outcomes(), of a crisp-guard shape
+    on a trace of at most 40 states, finite or a lasso, for each
+    interpretation, policy and position (two past the end too), then one
+    line of a range fill of the whole trace."""
+    rng = random.Random(seed)
+    etas = (AvoidingFunction.crisp(), ETA_3, AvoidingFunction.gaussian(4))
+    lines = []
+    for _ in range(cases):
+        n = rng.randint(1, 40)
+        guard = rng.choice(((1.0,), (1.0,) * 7 + (0.0, -0.0), (1.0,) * 3 + (rng.random(), 0.5)))
+        degrees = (0.0, -0.0, 1.0, 0.1, 0.3, rng.random(), rng.random())
+        rows = tuple((rng.choice(guard), rng.choice(degrees), rng.choice(degrees)) for _ in range(n))
+        trace = Trace(("s", "p", "q"), rows, rng.choice((None, None, rng.randrange(n))))
+        text = rng.choice(CRISP_GUARD_SHAPES).format(t=rng.randint(0, 70), k=rng.randint(0, 80))
+        f, eta = parse(text), rng.choice(etas)
+        lines.append(text)
+        for interp in (Z, G, L, P):
+            for policy in (FinitePolicy.STRICT,) if trace.is_lasso else FinitePolicy:
+                ctx = ctx_for(trace, interp, eta, policy)
+                for pos in range(n + 2):
+                    try:
+                        r = evaluate(ctx, f, pos)
+                        lines.append(f"{r.value.hex()} {r.exactness.value}")
+                    except FtlError as exc:
+                        lines.append(f"{type(exc).__name__}: {exc}")
+                try:
+                    values, tags = _range_read(ctx, f, 0, n)
+                    lines.append(" ".join(v.hex() for v in values) + f" {tags}")
+                except FtlError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+#: sha256 of ``crisp_guard_outcomes()``, taken when every until window
+#: folded its candidates and point folds read 64 positions first.
+CRISP_GUARD_DIGEST = "c8767b69174b1c79c82c1e00fc77c685a49f88017de985e1528f0c5e94b534ca"
+
+
+def test_crisp_guard_golden_outcomes():
+    """Values, tags and errors of guarded untils, and of F and G reads that
+    cross a first chunk, are those of scanning every window in full."""
+    lines = crisp_guard_outcomes()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRISP_GUARD_DIGEST
 
 
 def _full_refold_best_drop(tnorm, weights, values, kept):

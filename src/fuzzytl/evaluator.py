@@ -548,29 +548,92 @@ def _h_next(ctx, f, lo, hi, memo):
     return _span(ctx, inner, lo + steps, hi - lo, memo)
 
 
-def _weighted_windows(ctx, arg, start, n, weights, memo):
+def _next_better(values, drops):
+    """Each position's next position holding a strictly better value, or
+    len(values): the back values a monotone deque (see _slide) drops for a
+    new one, popped from one stack in one pass.  Following it from a
+    window's first position walks the window's records, the values strictly
+    better than every earlier one."""
+    nxt = [len(values)] * len(values)
+    stack = []
+    for j, v in enumerate(values):
+        while stack and drops(values[stack[-1]], v):
+            nxt[stack.pop()] = j
+        stack.append(j)
+    return nxt
+
+
+def _weighted_windows(ctx, arg, start, n, weights, head, memo):
     """The t-conorm fold of values[i + d] * weights[d] over d, for the n
-    windows starting at start, start+1, ..."""
+    windows starting at start, start+1, ...; weights[:head] are 1.0, and
+    the weights never grow with d.
+
+    Under max, a value no better than an earlier one of its window weighs
+    no more and comes later, and a rounded product is monotone, so its term
+    never beats the earlier one's: a range fill takes the max over the
+    first largest value of the head and the records after it.  Under the
+    Archimedean t-conorms a +-0.0 term leaves a nonzero fold bit for bit,
+    so only the nonzero terms are folded, until the fold reaches 1.0; a
+    window of zero terms alone is folded whole, which gives its sign.
+    """
     width = len(weights)
     values, tags = _span(ctx, arg, start, n + width - 1, memo)
     tconorm = ctx.ops.tconorm
-    out = [_fold(tconorm, list(map(mul, values[i : i + width], weights))) for i in range(n)]
+    out = []
+    if tconorm is not algebra._maximum:
+        for i in range(n):
+            window = values[i : i + width]
+            terms = filter(None, map(mul, window, weights))
+            acc = next(terms, None)
+            if acc is None:  # zero terms alone: the full fold gives the sign
+                acc = _fold(tconorm, list(map(mul, window, weights)))
+            for v in terms:
+                acc = tconorm(acc, v)
+                if acc == 1.0:
+                    break
+            out.append(acc)
+    elif n == 1:  # a point read: one C-level fold
+        out.append(max(map(mul, values, weights)))
+    else:
+        nxt = _next_better(values, lt)
+        for i in range(n):
+            k, stop, end = i, i + head, i + width
+            while (s := nxt[k]) < stop:
+                k = s  # the head's first largest, at weight 1.0
+            best = values[k]
+            while s < end:
+                term = values[s] * weights[s - i]
+                if term > best:
+                    best = term
+                s = nxt[s]
+            out.append(best)
     return out, _window_tags(tags, n, width)
 
 
 def _h_soon(ctx, f, lo, hi, memo):
     # eta(d) weighs a delay of d + 1 instants
-    return _weighted_windows(ctx, f.arg, lo + 1, hi - lo, ctx.eta.table, memo)
+    return _weighted_windows(ctx, f.arg, lo + 1, hi - lo, ctx.eta.table, 1, memo)
 
 
 def _h_within(ctx, f, lo, hi, memo):
     # within t: satisfied inside the next t instants at full weight, or in the
     # following n_eta - 1 instants at a decreasing penalty
     weights = (1.0,) * (f.bound + 1) + ctx.eta.table[1:]
-    return _weighted_windows(ctx, f.arg, lo, hi - lo, weights, memo)
+    return _weighted_windows(ctx, f.arg, lo, hi - lo, weights, f.bound + 1, memo)
 
 
 def _h_lasts(ctx, f, lo, hi, memo):
+    """L[t]: the largest eta(j) times the t-norm fold of the window's first
+    t + 1 - j values, j <= min(t, n_eta - 1).
+
+    Under min a range fill walks each window's records (see _next_better)
+    from the first smallest value of its head, the first t + 1 - j_top
+    values, which every j keeps.  A prefix's min is its last record, so a
+    record r followed by record s is the min of each prefix that ends
+    before s; the longest of these cuts the fewest instants, so it weighs
+    the most, and a rounded product is monotone.  The candidates are r at
+    the eta(j) of that longest prefix, and the last record at eta(0) = 1.
+    """
     t = f.bound
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
@@ -579,6 +642,20 @@ def _h_lasts(ctx, f, lo, hi, memo):
     weights = ctx.eta.table[: j_top + 1]
     head = t + 1 - j_top  # every j keeps at least the window's first head values
     out = []
+    if tnorm is algebra._minimum and n > 1:
+        nxt = _next_better(values, gt)
+        for i in range(n):
+            k, stop, end = i, i + head, i + t + 1
+            while (s := nxt[k]) < stop:
+                k = s  # the head's first smallest
+            best = -1.0  # below every candidate
+            while s < end:  # j descends, so a tie goes to the later one
+                cand = weights[end - s] * values[k]
+                if cand >= best:
+                    best = cand
+                k, s = s, nxt[s]
+            out.append(values[k] if values[k] >= best else best)  # j = 0, at eta(0) = 1.0
+        return out, _window_tags(tags, n, t + 1)
     for i in range(n):
         # the prefix folds of the window that cut j = j_top .. 0 instants
         first = _fold(tnorm, values[i : i + head])
@@ -642,9 +719,22 @@ def _fold_window(ctx, f, lo, hi, t, memo, unit):
 def _ag_window(ctx, f, lo, hi, t, memo, _):
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
+    tags = _window_tags(tags, n, t + 1)
     weights = ctx.eta.table
-    keep = min(t, len(weights) - 1) + 1
     tnorm = ctx.ops.tnorm
+    if tnorm is algebra._minimum:
+        # the window's values, ascending, equal ones in position order (sorted
+        # is stable, insort goes after its equals, and the value leaving is
+        # the earliest of its equals): candidate j is weights[j] times the
+        # (j+1)-th, as in _best_drop; map stops at the shorter of the two
+        window = sorted(values[: t + 1])
+        out = [max(map(mul, window, weights))]
+        for old, new in zip(values, values[t + 1 :]):
+            del window[bisect_left(window, old)]
+            insort(window, new)
+            out.append(max(map(mul, window, weights)))
+        return out, tags
+    keep = min(t, len(weights) - 1) + 1
     # the window's (value, position) pairs, ascending: ties go to the earliest
     # position, so its first `keep` entries are what _select_smallest keeps
     window = sorted(zip(values[: t + 1], count()))
@@ -654,7 +744,7 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
         if i + 1 < n:
             del window[bisect_left(window, (values[i], i))]
             insort(window, (values[i + t + 1], i + t + 1))
-    return out, _window_tags(tags, n, t + 1)
+    return out, tags
 
 
 def _until_window(ctx, f, lo, hi, t, memo, almost):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -49,6 +50,7 @@ from fuzzytl.evaluator import (
 )
 from fuzzytl.oracle import oracle_almost_always, oracle_almost_until
 from fuzzytl.parser import parse
+from fuzzytl.trace_io import parse_eta_spec
 
 Z = Interpretation.ZADEH
 G = Interpretation.GODEL
@@ -983,6 +985,223 @@ def test_crisp_guard_golden_outcomes():
     cross a first chunk, are those of scanning every window in full."""
     lines = crisp_guard_outcomes()
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRISP_GUARD_DIGEST
+
+
+#: The relaxed modalities over ``a`` (rich in 1.0, 0.0, -0.0, sixteenths and
+#: off-grid values) or ``c`` (a sparse crisp column of signed zeros and 1.0),
+#: bare and under F, G and AG windows.
+RELAXED_HEADS = ("AG[{t}] {x}", "L[{t}] {x}", "S {x}", "W[{t}] {x}")
+RELAXED_OUTERS = ("{head}", "F[{k}] ({head})", "G[{k}] ({head})", "AG[{k}] ({head})")
+RELAXED_WINDOWS = (0, 1, 2, 3, 8, 40)
+#: gauss:1/2/3/20, and a table whose last weight times a value below 0.5
+#: underflows to 0.0.
+RELAXED_ETAS = tuple(
+    map(parse_eta_spec, ("gauss:1", "gauss:2", "gauss:3", "gauss:20", "table:1,0.75,0.5,5e-324"))
+)
+
+
+def _relaxed_trace(rng):
+    """A trace of 1 .. 48 states, finite or a lasso, over ``a`` and ``c``."""
+    n = rng.randint(1, 48)
+    sixteenths = (rng.randrange(17) / 16, rng.randrange(17) / 16)
+    degrees = (1.0, 1.0, 0.0, -0.0, *sixteenths, rng.random(), rng.random())
+    a = [rng.choice(degrees) for _ in range(n)]
+    for i in rng.sample(range(n), n // 4):
+        a[i] = a[rng.randrange(n)]  # ties
+    c = [1.0 if rng.random() < 0.1 else rng.choice((0.0, -0.0)) for _ in range(n)]
+    return Trace(("a", "c"), tuple(zip(a, c)), rng.choice((None, rng.randrange(n))))
+
+
+def relaxed_kernel_outcomes(repeats=3, seed=23):
+    """One line per evaluation, as golden_outcomes(), of each relaxed head at
+    each window in RELAXED_WINDOWS under each outer window, ``repeats``
+    times on fresh traces and weights: for each interpretation, policy and
+    position (two past the end too), then one line of a range fill of those
+    positions and, on a finite trace, one of the positions whose windows
+    end inside it."""
+    rng = random.Random(seed)
+    lines = []
+    shapes = itertools.product(RELAXED_HEADS, RELAXED_OUTERS, RELAXED_WINDOWS, range(repeats))
+    for head, outer, t, _ in shapes:
+        trace, eta = _relaxed_trace(rng), rng.choice(RELAXED_ETAS)
+        k = rng.choice((0, 1, 3, 9))
+        text = outer.format(head=head.format(t=t, x=rng.choice("aac")), k=k)
+        f, n = parse(text), len(trace)
+        reach = {"S": eta.n_eta, "W": t + eta.n_eta - 1}.get(head[0], t) + (k if outer != "{head}" else 0)
+        lines.append(f"{text} {eta.table} {n} {trace.loop_start}")
+        for interp in (Z, G, L, P):
+            for policy in (FinitePolicy.STRICT,) if trace.is_lasso else FinitePolicy:
+                ctx = ctx_for(trace, interp, eta, policy)
+                for pos in range(n + 2):
+                    try:
+                        r = evaluate(ctx, f, pos)
+                        lines.append(f"{r.value.hex()} {r.exactness.value}")
+                    except FtlError as exc:
+                        lines.append(f"{type(exc).__name__}: {exc}")
+                for m in (n + 2, n - reach) if not trace.is_lasso else (n + 2,):
+                    if m < 2:
+                        continue
+                    try:
+                        values, tags = _range_read(ctx, f, 0, m)
+                        lines.append(" ".join(v.hex() for v in values) + f" {tags}")
+                    except FtlError as exc:
+                        lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+#: sha256 of ``relaxed_kernel_outcomes()``, taken when every AG, L, S and W
+#: window folded all of its weighted terms.
+RELAXED_KERNEL_DIGEST = "082b4e7310de252834317c7c8e9474127345074bc1a2d677b005c26171cbc622"
+
+
+def test_relaxed_kernel_golden_outcomes():
+    """Values, tags and errors of AG, L, S and W windows, read at a point
+    and as range fills, are those of folding every window in full."""
+    lines = relaxed_kernel_outcomes()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RELAXED_KERNEL_DIGEST
+
+
+#: eta = 1, 0.75, 0.5, 5e-324: the last weight times a value below 0.5 is 0.0.
+TINY_ETA = RELAXED_ETAS[-1]
+
+
+def _relaxed_text(op, t):
+    return "S p" if op == "S" else f"{op}[{t}] p"
+
+
+def _relaxed_reference(ctx, op, t, column):
+    """``AG[t] p``, ``L[t] p``, ``S p`` or ``W[t] p`` (``op``) at every
+    position of ``column`` padded with 0.0, one window at a time and in
+    position order: each weighted term or prefix fold taken, the first
+    largest kept."""
+    tnorm, tconorm, eta = ctx.ops.tnorm, ctx.ops.tconorm, ctx.eta
+    padded = list(column) + [0.0] * (t + eta.n_eta + 1)
+    out = []
+    for i in range(len(column)):
+        if op == "AG":
+            window = padded[i : i + t + 1]
+            order = sorted(range(t + 1), key=window.__getitem__)  # stable: ties by position
+            folds = (
+                functools.reduce(tnorm, [v for d, v in enumerate(window) if d not in order[:j]])
+                for j in range(min(t, eta.n_eta - 1) + 1)
+            )
+            out.append(max(map(operator.mul, folds, eta.table)))
+        elif op == "L":
+            folds = (
+                functools.reduce(tnorm, padded[i : i + t + 1 - j])
+                for j in range(min(t, eta.n_eta - 1) + 1)
+            )
+            out.append(max(map(operator.mul, folds, eta.table)))
+        else:
+            out.append(functools.reduce(tconorm, _weighted_terms(eta, op, t, padded, i)))
+    return out
+
+
+def _weighted_terms(eta, op, t, padded, i):
+    """The weighted terms of the S or W[t] window at position i."""
+    start, weights = (i + 1, eta.table) if op == "S" else (i, (1.0,) * (t + 1) + eta.table[1:])
+    return [padded[start + d] * w for d, w in enumerate(weights)]
+
+
+def _check_relaxed_column(ctx, op, t, column):
+    """A range fill of every position and each point read give the
+    reference's bits; returns them."""
+    want = [v.hex() for v in _relaxed_reference(ctx, op, t, column)]
+    text = _relaxed_text(op, t)
+    f = parse(text)
+    assert [v.hex() for v in _range_column(ctx, f, len(column))] == want, (text, ctx.interp)
+    assert [evaluate(ctx, f, pos).value.hex() for pos in range(len(column))] == want, (text, ctx.interp)
+    return want
+
+
+def _column_ctx(column, interp, eta):
+    return ctx_for(Trace(("p",), tuple((v,) for v in column)), interp, eta, FinitePolicy.PAD_ZERO)
+
+
+@pytest.mark.parametrize("interp", [L, P])
+def test_archimedean_soon_and_within_of_zero_terms_keep_their_sign(interp):
+    """S and W windows whose terms are all +-0.0 (signed zeros, or values a
+    tiny weight underflows) fold whole: under Lukasiewicz the result is -0.0
+    exactly when every term is -0.0."""
+    rng = random.Random(31)
+    column = [rng.choice((-0.0, -0.0, -0.0, 0.0, 0.25, 0.875)) for _ in range(80)]
+    column[10:20] = [-0.0] * 10
+    column[30:34] = [0.0, -0.0, -0.0, 0.25]  # 0.25 * 5e-324 is +0.0
+    for eta in (ETA_3, TINY_ETA, AvoidingFunction.gaussian(3)):
+        ctx = _column_ctx(column, interp, eta)
+        padded = column + [0.0] * 8
+        for op, t in (("S", 0), ("W", 0), ("W", 1), ("W", 3)):
+            want = _check_relaxed_column(ctx, op, t, column)
+            if interp is not L:
+                continue
+            signs = [
+                (v == "-0x0.0p+0", all(math.copysign(1.0, x) < 0 for x in terms))
+                for v, terms in ((v, _weighted_terms(eta, op, t, padded, i)) for i, v in enumerate(want))
+                if not any(terms)
+            ]
+            assert all(neg == all_neg for neg, all_neg in signs), (op, t, eta)
+            assert (True, True) in signs and (False, False) in signs, (op, t, eta)
+
+
+@pytest.mark.parametrize("interp", [Z, G])
+def test_max_windows_keep_an_earlier_negative_zero(interp):
+    """Under max an S or W window whose first largest term is -0.0 keeps it,
+    though a later term is 0.0: a later record must be strictly larger."""
+    column = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.25, 0.0, -0.0, 0.0, 0.5, -0.0] * 4
+    for eta in (ETA_3, TINY_ETA, AvoidingFunction.gaussian(3)):
+        ctx = _column_ctx(column, interp, eta)
+        for op, t in (("S", 0), ("W", 0), ("W", 1), ("W", 2)):
+            want = _check_relaxed_column(ctx, op, t, column)
+            assert "-0x0.0p+0" in want, (op, t, eta)
+
+
+@pytest.mark.parametrize("interp", [Z, G])
+def test_lasts_under_min_keeps_the_first_smallest_of_its_head(interp):
+    """L[t] under min, where the head's smallest value repeats as 0.0 and
+    -0.0 and later signed zeros and smaller values follow."""
+    rng = random.Random(32)
+    column = [rng.choice((0.0, -0.0, 0.25, 0.25, 0.5, 0.75, 1.0)) for _ in range(90)]
+    column[:12] = [0.5, -0.0, 0.25, 0.0, -0.0, 0.0, 0.25, -0.0, 0.0, 0.75, 0.0, -0.0]
+    for eta in (ETA_3, TINY_ETA, AvoidingFunction.gaussian(4)):
+        ctx = _column_ctx(column, interp, eta)
+        for t in (1, 2, 3, 5, 8):
+            want = _check_relaxed_column(ctx, "L", t, column)
+            assert "-0x0.0p+0" in want and "0x0.0p+0" in want, (t, eta)
+
+
+@pytest.mark.parametrize("interp", [Z, G])
+def test_almost_always_under_min_drops_the_earliest_of_equal_zeros(interp):
+    """AG[t] under min as its window slides over 0.0 and -0.0 ties: the value
+    that leaves is the earliest of its equals, so the kept order, and each
+    candidate's sign, is that of sorting each window by value, then
+    position."""
+    rng = random.Random(33)
+    column = [rng.choice((0.0, -0.0, 0.0, -0.0, 0.5, 1.0)) for _ in range(90)]
+    for eta in (ETA_3, TINY_ETA, AvoidingFunction.gaussian(4)):
+        ctx = _column_ctx(column, interp, eta)
+        for t in (1, 2, 3, 8):
+            want = _check_relaxed_column(ctx, "AG", t, column)
+            assert "-0x0.0p+0" in want and "0x0.0p+0" in want, (t, eta)
+
+
+@pytest.mark.parametrize("interp", [Z, G])
+def test_a_point_read_folds_its_one_window(interp, monkeypatch):
+    """A point read of AG, L, S or W under min and max is one fold of its
+    window: it neither slides a sorted window nor walks records."""
+    def refuse(*args):
+        raise AssertionError("a range-fill kernel ran")
+
+    monkeypatch.setattr(evaluator, "_next_better", refuse)
+    monkeypatch.setattr(evaluator, "insort", refuse)
+    rng = random.Random(34)
+    column = [rng.choice((0.0, -0.0, 0.25, 0.5, 1.0, rng.random())) for _ in range(70)]
+    ctx = _column_ctx(column, interp, AvoidingFunction.gaussian(4))
+    for op, t in (("AG", 60), ("L", 60), ("W", 60), ("S", 0), ("L", 3), ("W", 1)):
+        f = parse(_relaxed_text(op, t))
+        want = [v.hex() for v in _relaxed_reference(ctx, op, t, column)]
+        assert [evaluate(ctx, f, pos).value.hex() for pos in range(len(column))] == want, f
+        with pytest.raises(AssertionError, match="range-fill kernel"):
+            _range_column(ctx, f, len(column))
 
 
 def _full_refold_best_drop(tnorm, weights, values, kept):

@@ -5,7 +5,7 @@ Subcommands raise their errors; ``main`` alone prints one stderr line
 1 syntax error, 2 validation error (a trace, eta spec, demo length or case
 count, a bad, unknown or unsound rewrite ``--target``, an unwritable
 gen-demo ``--out``), 4 not lowerable, 3 evaluation error (any other FtlError,
-a formula nested too deep to parse or evaluate included).  ``budget
+a formula nested too deep to evaluate included).  ``budget
 exceeded; partial form: ...`` exits 4 and a law-suite failure 5.
 """
 

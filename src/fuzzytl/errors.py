@@ -41,8 +41,9 @@ class HorizonExceedsTrace(FtlError):
 
 
 class FormulaTooDeep(FtlError):
-    """A formula nests deeper than parsing or evaluation can recurse
-    (Python's stack limit); raised in place of a RecursionError."""
+    """A formula nests deeper than evaluation can recurse (Python's stack
+    limit); raised in place of a RecursionError.  Parsing has no depth
+    limit."""
 
 
 class ScaleIndexOutOfRange(FtlError):

@@ -20,10 +20,9 @@ keywords, their brackets and their levels all come from ``core.OPERATORS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import OPERATORS, Atom, Bound, Formula, Level, OpSpec, children
-from .errors import FormulaTooDeep, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 BOUND_CEILING = 10**6
 
@@ -69,6 +68,8 @@ _TOKEN_RE = re.compile(
     rf"|(?P<name>{_IDENT_RE.pattern})"
     r"|(?P<int>[0-9]+)"
     r"|(?P<sym>&&|\|\||->|[!&|()\[\]])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -79,138 +80,120 @@ def _node(spec: OpSpec, t: int | None, *kids: Formula) -> Formula:
     return spec.cls(*kids) if t is None else spec.cls(t, *kids)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "int", "sym", "eof"
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", (i, i + 1))
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), m.start(), m.end()))
-        i = m.end()
-    tokens.append(Token("eof", "", len(text), len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, start, end) per token, then an "eof" token; the first
+    character no token starts with is a ParseError."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.span())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start(), m.end()))
+    tokens.append(("eof", "", len(text), len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def fail(self, message: str, expected: "set[str] | frozenset[str]") -> "ParseError":
-        tok = self.peek()
-        return ParseError(message, (tok.start, tok.end), frozenset(expected))
+        _, _, start, end = self.tokens[self.i]
+        return ParseError(message, (start, end), frozenset(expected))
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
-            return self.advance()
-        raise self.fail(f"expected {sym!r}, found {tok.text or 'end of input'!r}", {sym})
+    def expect_sym(self, sym: str) -> None:
+        kind, text, _, _ = self.tokens[self.i]
+        if kind != "sym" or text != sym:
+            raise self.fail(f"expected {sym!r}, found {text or 'end of input'!r}", {sym})
+        self.i += 1
 
-    # -- bounds ------------------------------------------------------------
-
-    def bound(self) -> int:
+    def bracket(self, form: Bound) -> int | None:
+        """The keyword's bracketed natural number; None where the keyword
+        takes none, or leaves an optional one out."""
+        if form == Bound.NONE or (
+            form in (Bound.OPTIONAL, Bound.REPEAT) and self.tokens[self.i][1] != "["
+        ):
+            return None
         self.expect_sym("[")
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail(
-                f"expected a bound, found {tok.text or 'end of input'!r}", {"<number>"}
-            )
-        self.advance()
+        kind, text, start, end = self.tokens[self.i]
+        if kind != "int":
+            raise self.fail(f"expected a bound, found {text or 'end of input'!r}", {"<number>"})
         try:
-            bound = below_ceiling(tok.text, "bound")
+            bound = below_ceiling(text, "bound")
         except ValidationError as exc:
-            raise ParseError(str(exc), (tok.start, tok.end), frozenset({"<number>"})) from None
+            raise ParseError(str(exc), (start, end), frozenset({"<number>"})) from None
+        self.i += 1
         self.expect_sym("]")
         return bound
 
-    def optional_bound(self) -> int | None:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "[":
-            return self.bound()
-        return None
-
-    def bracket(self, kind: Bound) -> int | None:
-        if kind == Bound.NONE:
-            return None
-        if kind == Bound.OPTIONAL or kind == Bound.REPEAT:
-            return self.optional_bound()
-        return self.bound()
-
-    # -- grammar -----------------------------------------------------------
-
-    def binary(self, level: int) -> Formula:
-        if level == Level.UNARY:
-            return self.unary()
-        left = self.binary(level + 1)
+    def parse(self) -> Formula:
+        tokens = self.tokens
+        # pending operators (spec, t, left), left None for a prefix, and None
+        # for each open parenthesis
+        stack: list = []
         while True:
-            spec = _INFIX.get(self.peek().text)
-            if spec is None or spec.level != level:
-                return left
-            self.advance()
-            t = self.bracket(spec.bound)
-            if level == Level.IMPLIES:
-                return _node(spec, t, left, self.binary(level))
-            left = _node(spec, t, left, self.binary(level + 1))
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        spec = _PREFIX.get(tok.text)
-        if spec is not None:
-            self.advance()
-            if spec.level == Level.LEAF:
-                return spec.cls()
-            t = self.bracket(spec.bound)
-            inner = self.unary()
-            if spec.bound == Bound.REPEAT:
-                for _ in range(1 if t is None else t):
-                    inner = spec.cls(inner)
-                return inner
-            return _node(spec, t, inner)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            inner = self.binary(Level.IMPLIES)
-            self.expect_sym(")")
-            return inner
-        if tok.kind == "name" and tok.text not in KEYWORDS:
-            self.advance()
-            return Atom(tok.text)
-        raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}", _FORMULA_START)
+            # an operand: prefixes and parentheses up to an atom or constant
+            while True:
+                kind, text, _, _ = tokens[self.i]
+                spec = _PREFIX.get(text)
+                if spec is not None:
+                    self.i += 1
+                    if spec.level == Level.LEAF:
+                        operand = spec.cls()
+                        break
+                    stack.append((spec, self.bracket(spec.bound), None))
+                elif text == "(":
+                    self.i += 1
+                    stack.append(None)
+                elif kind == "name" and text not in KEYWORDS:
+                    self.i += 1
+                    operand = Atom(text)
+                    break
+                else:
+                    found = text or "end of input"
+                    raise self.fail(f"expected a formula, found {found!r}", _FORMULA_START)
+            # every pending operator that binds at least as tightly as the next
+            # one takes the operand (only tighter ones before right-associative
+            # ->); then the next one waits for its right operand, or ")" or
+            # the end of input closes the group
+            while True:
+                spec = _INFIX.get(tokens[self.i][1])
+                level = -1 if spec is None else spec.level
+                while stack and stack[-1] is not None:
+                    pending, t, left = stack[-1]
+                    if pending.level < level or pending.level == level == Level.IMPLIES:
+                        break
+                    stack.pop()
+                    if left is not None:
+                        operand = _node(pending, t, left, operand)
+                    elif pending.bound == Bound.REPEAT:
+                        for _ in range(1 if t is None else t):
+                            operand = pending.cls(operand)
+                    else:
+                        operand = _node(pending, t, operand)
+                if spec is not None:
+                    self.i += 1
+                    stack.append((spec, self.bracket(spec.bound), operand))
+                    break
+                if not stack:
+                    kind, text, _, _ = tokens[self.i]
+                    if kind != "eof":
+                        raise self.fail(f"trailing input {text!r}", {"end of input"})
+                    return operand
+                self.expect_sym(")")
+                stack.pop()
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula tree.
 
-    The parser recurses once per nesting level, so text nested past Python's
-    stack limit raises FormulaTooDeep.
+    One loop over an explicit operator stack (precedence climbing), so text
+    of any depth parses; a malformed text raises ParseError with the span of
+    the offending token and the set of tokens expected there.
     """
-    p = _Parser(text)
-    try:
-        f = p.binary(Level.IMPLIES)
-    except RecursionError:
-        raise FormulaTooDeep("formula nests too deeply to parse") from None
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise p.fail(f"trailing input {tok.text!r}", {"end of input"})
-    return f
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +249,10 @@ def format_formula(f: Formula) -> str:
                 break
             if level == Level.UNARY:
                 if spec.bound == Bound.REPEAT:
+                    # a run past the ceiling prints as several, each parseable
                     k = 0
                     inner = node
-                    while type(inner) is spec.cls:
+                    while type(inner) is spec.cls and k < BOUND_CEILING:
                         k += 1
                         (inner,) = children(inner)
                     head = spec.keyword if k == 1 else f"{spec.keyword}[{k}]"

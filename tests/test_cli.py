@@ -118,12 +118,16 @@ class TestEval:
         assert err.startswith("evaluation error: position 100000")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "text", ["!" * 1500 + "p", "(" * 1200 + "p" + ")" * 1200], ids=["not", "parens"]
-    )
-    def test_too_deep_to_parse_is_an_evaluation_error(self, table3, capsys, text):
-        assert main(["eval", "--formula", text, "--trace", table3]) == 3
-        assert capsys.readouterr().err == "evaluation error: formula nests too deeply to parse\n"
+    def test_too_deep_to_evaluate_is_an_evaluation_error(self, table3, capsys):
+        # the text parses; the evaluator's stack is the one depth limit
+        assert main(["eval", "--formula", "!" * 1500 + "p", "--trace", table3]) == 3
+        assert capsys.readouterr().err == "evaluation error: formula nests too deeply to evaluate\n"
+
+    def test_deep_parentheses_evaluate(self, table3, capsys):
+        assert main(["eval", "--formula", "p", "--trace", table3]) == 0
+        plain = capsys.readouterr()
+        assert main(["eval", "--formula", "(" * 1200 + "p" + ")" * 1200, "--trace", table3]) == 0
+        assert capsys.readouterr() == plain
 
     def test_gaussian_width_past_the_ceiling_is_a_validation_error(self, table3, capsys):
         assert main(["eval", "--formula", "p", "--trace", table3, "--eta", "gauss:1000001"]) == 2
@@ -254,7 +258,7 @@ _VERIFY = ["rewrite", "--formula", "G p", "--target", "rule:FG-dual", "--verify"
 #: a scratch dir
 _FAILURE_CASES = {
     "eval-syntax": ([*_EVAL, "AG[2"], 1, "syntax error: "),
-    "eval-too-deep-to-parse": ([*_EVAL, "!" * 1500 + "p"], 3, "evaluation error: "),
+    "eval-too-deep-to-evaluate": ([*_EVAL, "!" * 1500 + "p"], 3, "evaluation error: "),
     "eval-missing-trace": (["eval", "--trace", "{tmp}/none.json", "--formula", "p"], 2, "validation error: "),
     "eval-invalid-trace": (["eval", "--trace", "{bad}", "--formula", "p"], 2, "validation error: "),
     "eval-non-utf8-trace": (["eval", "--trace", "{bin}", "--formula", "p"], 2, "validation error: "),

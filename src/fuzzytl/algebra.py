@@ -56,6 +56,13 @@ _prod_tnorm = mul
 
 
 def _prod_tconorm(a: float, b: float) -> float:
+    """a + b - a * b, rounded.
+
+    Not monotone in a once rounded: _prod_tconorm(0.5, 0.75) is 0.875, and
+    _prod_tconorm(math.nextafter(0.5, 2.0), 0.75) is one ulp below it.  So
+    a larger value in a window can lower its fold, and no kernel skips a
+    Product t-conorm window because an overlapping window dominates it.
+    """
     # boundary identities hold exactly; the naive form drifts an ulp there
     if a == 0.0:
         return b

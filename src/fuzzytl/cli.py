@@ -2,10 +2,10 @@
 
 Subcommands raise their errors; ``main`` alone prints one stderr line
 ``<kind>: <message>`` and exits with the kind's code, read from ``_FAILURES``:
-1 syntax error, 2 validation error (a trace, eta spec, demo length or case
-count, a bad, unknown or unsound rewrite ``--target``, an unwritable
-gen-demo ``--out``), 4 not lowerable, 3 evaluation error (any other FtlError,
-a formula nested too deep to evaluate included).  ``budget
+1 syntax error, 2 validation error (a trace, eta spec, demo length, case
+count or rewrite budget, a bad, unknown or unsound rewrite ``--target``, an
+unwritable gen-demo ``--out``), 4 not lowerable, 3 evaluation error (any
+other FtlError, a formula nested too deep to evaluate included).  ``budget
 exceeded; partial form: ...`` exits 4 and a law-suite failure 5.
 """
 
@@ -134,6 +134,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
+    if args.budget <= 0:
+        raise ValidationError(f"--budget must be at least 1, got {args.budget}")
     from .rewrite import lower_to_adequate, rewrite_once, rule_set
 
     formula = parse(args.formula)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, index, is_not, itemgetter, lt, mul, or_
+from operator import eq, gt, index, is_not, itemgetter, lt, mul, ne, or_
 from typing import Optional
 
 from . import algebra
@@ -86,7 +86,7 @@ def _window_tags(tags, n: int, width: int):
     return [functools.reduce(or_, set(tags[i : i + width]), _EXACT) for i in range(n)]
 
 
-#: Connective -> (C fold, saturated, drops):
+#: Connective -> (C fold, saturated, drops, unit):
 #:
 #: - C fold: a C-level left fold with the bits of folding in position order,
 #:   or None: min and max keep the first of equal values, as _minimum and
@@ -95,18 +95,26 @@ def _window_tags(tags, n: int, width: int):
 #:   min and max never replace a value by an equal one.  The other values are
 #:   absorbing elements, which a step gives exactly (0.0 from the Lukasiewicz
 #:   t-norm's clamp, 1.0 from the t-conorms') and every later step over
-#:   [0, 1] gives again.  The Product t-norm, operator.mul, has none:
+#:   [0, 1] gives again, so a fold of two values or more that holds one is
+#:   that literal.  The Product t-norm, operator.mul, has none:
 #:   0.0 * -0.0 is -0.0.
 #: - drops: when a monotone deque drops its back value for a new one, or
 #:   None: only when the new one is strictly better, so the first of equal
 #:   values stays in front.
+#: - unit: (1.0, k) when a step with 1.0 leaves the fold bit for bit once
+#:   its first k values are folded, and a leading 1.0 leaves the next value
+#:   when k is 0; else None.  x * 1.0 is x and min(x, 1.0) is x for every x
+#:   in [0, 1].  A Lukasiewicz fold's first step gives 0.0 or
+#:   fl(fl(a + b) - 1.0), a multiple of 2^-52, as is every later step, and
+#:   fl(x + 1.0) - 1.0 is x for such an x; a first step with 1.0 rounds.
+#:   The t-conorms' unit 0.0 does not keep a leading -0.0.
 _CONNECTIVES = {
-    algebra._minimum: (min, 0.0, gt),
-    algebra._maximum: (max, 1.0, lt),
-    algebra._luk_tnorm: (None, 0.0, None),
-    algebra._luk_tconorm: (None, 1.0, None),
-    algebra._prod_tnorm: (math.prod, None, None),
-    algebra._prod_tconorm: (None, 1.0, None),
+    algebra._minimum: (min, 0.0, gt, (1.0, 0)),
+    algebra._maximum: (max, 1.0, lt, None),
+    algebra._luk_tnorm: (None, 0.0, None, (1.0, 2)),
+    algebra._luk_tconorm: (None, 1.0, None, None),
+    algebra._prod_tnorm: (math.prod, None, None, (1.0, 0)),
+    algebra._prod_tconorm: (None, 1.0, None, None),
 }
 
 
@@ -203,7 +211,7 @@ def _select_smallest(values, keep: int, counter: Optional[ComparisonCounter]):
 def _fold(op, values) -> float:
     """Left fold of ``op`` over non-empty ``values`` in position order; a
     fold with no C fold stops at its saturated value, an absorbing element."""
-    c_fold, absorbing, _ = _CONNECTIVES[op]
+    c_fold, absorbing, _, _ = _CONNECTIVES[op]
     if c_fold is not None:
         return c_fold(values)
     it = iter(values)
@@ -219,23 +227,49 @@ def _slide(op, values, n: int, width: int) -> list:
     """The left fold of ``op`` over values[i : i + width] for every i < n.
 
     min and max slide one monotone deque of positions over the values
-    (Lemire, *Streaming Maximum-Minimum Filter*, 2006); the other folds fold
-    each window, stopping at an absorbing element.
+    (Lemire, *Streaming Maximum-Minimum Filter*, 2006).  The other folds
+    take a window of two values or more that holds their saturated value as
+    that literal, and fold each other window, stopping at an absorbing
+    element: a Product window whose leaving value is 1.0 is the previous
+    window times the entering value, and a Lukasiewicz window folds its
+    first two values and then only its values below 1.0 (see _CONNECTIVES).
     """
-    drops = _CONNECTIVES[op][2]
-    if drops is None or n == 1:
-        return [_fold(op, values[i : i + width]) for i in range(n)]
+    if width == 1:
+        return values[:n]
+    _, saturated, drops, unit = _CONNECTIVES[op]
+    if n == 1:
+        return [_fold(op, values[:width])]
     out = []
-    window: deque = deque()
-    for j, v in enumerate(values):
-        while window and drops(values[window[-1]], v):
-            window.pop()
-        window.append(j)
-        i = j - width + 1
-        if i >= 0:
-            if window[0] < i:
-                window.popleft()
-            out.append(values[window[0]])
+    if drops is not None:
+        window: deque = deque()
+        for j, v in enumerate(values):
+            while window and drops(values[window[-1]], v):
+                window.pop()
+            window.append(j)
+            i = j - width + 1
+            if i >= 0:
+                if window[0] < i:
+                    window.popleft()
+                out.append(values[window[0]])
+        return out
+    if unit == (1.0, 0):  # the Product t-norm
+        for i in range(n):
+            if i and values[i - 1] == 1.0:
+                out.append(op(out[-1], values[i + width - 1]))
+            else:
+                out.append(_fold(op, values[i : i + width]))
+        return out
+    hits = list(compress(count(), map(eq, values, repeat(saturated)))) + [len(values)]
+    below = list(compress(count(), map(ne, values, repeat(1.0)))) if unit else None
+    for i in range(n):
+        if hits[bisect_left(hits, i)] < i + width:
+            out.append(saturated)
+        elif below is None:
+            out.append(_fold(op, values[i : i + width]))
+        else:
+            lead = i + unit[1]
+            skip = below[bisect_left(below, lead) : bisect_left(below, i + width)]
+            out.append(_fold(op, chain(values[i:lead], map(values.__getitem__, skip))))
     return out
 
 
@@ -633,6 +667,12 @@ def _h_lasts(ctx, f, lo, hi, memo):
     before s; the longest of these cuts the fewest instants, so it weighs
     the most, and a rounded product is monotone.  The candidates are r at
     the eta(j) of that longest prefix, and the last record at eta(0) = 1.
+
+    Otherwise one _slide gives every window's head fold.  Under Product,
+    whose unit 1.0 is exact from the first value (see _CONNECTIVES), a
+    prefix followed by a 1.0 folds to the bits of the prefix one longer,
+    which weighs more and comes first in the max; so a window prices only
+    itself and the prefixes that end just before a value below 1.0.
     """
     t = f.bound
     n = hi - lo
@@ -656,11 +696,23 @@ def _h_lasts(ctx, f, lo, hi, memo):
                 k, s = s, nxt[s]
             out.append(values[k] if values[k] >= best else best)  # j = 0, at eta(0) = 1.0
         return out, _window_tags(tags, n, t + 1)
-    for i in range(n):
-        # the prefix folds of the window that cut j = j_top .. 0 instants
-        first = _fold(tnorm, values[i : i + head])
-        prefix = list(accumulate(values[i + head : i + t + 1], tnorm, initial=first))
-        out.append(max(map(mul, reversed(prefix), weights)))
+    heads = _slide(tnorm, values, n, head)
+    if _CONNECTIVES[tnorm][3] != (1.0, 0):
+        for i, first in enumerate(heads):
+            # the prefix folds of the window that cut j = j_top .. 0 instants
+            prefix = list(accumulate(values[i + head : i + t + 1], tnorm, initial=first))
+            out.append(max(map(mul, reversed(prefix), weights)))
+        return out, _window_tags(tags, n, t + 1)
+    below = list(compress(count(), map(ne, values, repeat(1.0))))
+    for i, acc in enumerate(heads):
+        # the whole window, then each prefix that ends just before a value
+        # below 1.0, longest first
+        cands = []
+        for q in below[bisect_left(below, i + head) : bisect_left(below, i + t + 1)]:
+            cands.append(acc * weights[i + t + 1 - q])
+            acc = tnorm(acc, values[q])
+        cands.append(acc)
+        out.append(max(reversed(cands)))
     return out, _window_tags(tags, n, t + 1)
 
 
@@ -717,6 +769,17 @@ def _fold_window(ctx, f, lo, hi, t, memo, unit):
 
 
 def _ag_window(ctx, f, lo, hi, t, memo, _):
+    """AG[t]: the largest eta(j) times the t-norm fold of the window without
+    its j smallest values, j <= min(t, n_eta - 1).
+
+    Under min and Product, whose unit 1.0 is exact from the first value
+    (see _CONNECTIVES), a window whose leaving and entering values are both
+    1.0 holds the previous window's values below 1.0, in the same order, and
+    takes its value.  A Product window folds only its m values below 1.0:
+    1.0 leaves a product bit for bit, so each j < m folds as it would with
+    the 1.0s, and each j >= m folds to 1.0, of which eta(m) is the largest
+    weight and the first.
+    """
     n = hi - lo
     values, tags = _span(ctx, f.arg, lo, n + t, memo)
     tags = _window_tags(tags, n, t + 1)
@@ -730,20 +793,40 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
         window = sorted(values[: t + 1])
         out = [max(map(mul, window, weights))]
         for old, new in zip(values, values[t + 1 :]):
+            if old == new == 1.0:
+                out.append(out[-1])
+                continue
             del window[bisect_left(window, old)]
             insort(window, new)
             out.append(max(map(mul, window, weights)))
         return out, tags
     keep = min(t, len(weights) - 1) + 1
-    # the window's (value, position) pairs, ascending: ties go to the earliest
-    # position, so its first `keep` entries are what _select_smallest keeps
-    window = sorted(zip(values[: t + 1], count()))
+    # the positions a window folds, and their values: under Product those
+    # below 1.0, else all
+    exact = _CONNECTIVES[tnorm][3] == (1.0, 0)
+    held = list(compress(count(), map(ne, values, repeat(1.0)))) if exact else range(len(values))
+    folded = [values[q] for q in held] if exact else values
+    a, b = 0, bisect_left(held, t + 1)  # the window's held[a:b]
+    # the window's (value, index in held) pairs, ascending: ties go to the
+    # earliest position, so its first `keep` entries are what
+    # _select_smallest keeps
+    window = sorted(zip(folded[:b], count()))
     out = []
     for i in range(n):
-        out.append(_best_drop(tnorm, weights, values[i : i + t + 1], window[:keep], i))
-        if i + 1 < n:
-            del window[bisect_left(window, (values[i], i))]
-            insort(window, (values[i + t + 1], i + t + 1))
+        if exact and i and values[i - 1] == values[i + t] == 1.0:
+            out.append(out[-1])
+        else:
+            m = b - a
+            best = _best_drop(tnorm, weights, folded[a:b], window[:keep], a) if m else None
+            if m < keep and (best is None or weights[m] > best):
+                best = weights[m]  # every value below 1.0 dropped
+            out.append(best)
+        if a < b and held[a] == i:
+            del window[bisect_left(window, (folded[a], a))]
+            a += 1
+        if b < len(held) and held[b] == i + t + 1:
+            insort(window, (folded[b], b))
+            b += 1
     return out, tags
 
 

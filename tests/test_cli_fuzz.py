@@ -142,6 +142,8 @@ def test_cli_cases_end_in_a_value_or_one_typed_line(tmp_path):
         where = f"{argv!r:.300}: exit {code}, stderr {err!r:.300}"
         assert code in _CODES, where
         codes.add(code)
+        if argv[0] == "rewrite" and int(argv[argv.index("--budget") + 1]) <= 0:
+            assert code == cli._EXIT_VALIDATION and err.startswith("validation error: --budget"), where
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, where
             continue

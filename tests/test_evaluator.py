@@ -552,7 +552,7 @@ def test_connective_rows_hold():
     connectives = {op for i in Interpretation for op in (algebra.ops_for(i).tnorm, algebra.ops_for(i).tconorm)}
     assert set(evaluator._CONNECTIVES) == connectives
     assert algebra._prod_tnorm is operator.mul
-    for op, (c_fold, saturated, drops) in evaluator._CONNECTIVES.items():
+    for op, (c_fold, saturated, drops, unit) in evaluator._CONNECTIVES.items():
         pairs = list(itertools.product(values, repeat=2))
         for a, b in pairs:
             if drops is not None:  # drops the back value when the step replaces it
@@ -568,6 +568,19 @@ def test_connective_rows_hold():
             for x in (x for x in reached if x == saturated):
                 for v in values:
                     assert op(x, v).hex() == x.hex(), (op.__name__, x, v)
+        if unit is not None:
+            # a step with the unit keeps the running value of k values or
+            # more, one step or two after the first k, and no fewer than k
+            u, k = unit
+            assert u == 1.0 and k in (0, 2), op.__name__
+            if k == 0:
+                assert all(op(u, v).hex() == v.hex() for v in values), op.__name__
+                reached = values
+            else:
+                assert any(op(v, u).hex() != v.hex() for v in values), op.__name__
+                reached = [op(a, b) for a, b in pairs]
+            for x in reached + [op(x, v) for x in reached for v in values]:
+                assert op(x, u).hex() == x.hex(), (op.__name__, x)
 
 
 def _close(interp, got, want):
@@ -1061,6 +1074,76 @@ def test_relaxed_kernel_golden_outcomes():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RELAXED_KERNEL_DIGEST
 
 
+#: Degrees a range fill must keep bit for bit: the exact unit 1.0, the
+#: absorbing 0.0 and -0.0, the largest double below 1.0, whose Lukasiewicz
+#: step with 1.0 rounds, and tiny values whose products underflow.
+FILL_DEGREES = (1.0, 0.0, -0.0, 1 - 2.0**-53, 2.0**-60, 5e-324)
+FILL_HEADS = (
+    "F[{t}] {x}", "G[{t}] {x}", "AG[{t}] {x}", "L[{t}] {x}",
+    "{x} U[{t}] {y}", "{x} AU[{t}] {y}", "S {x}", "W[{t}] {x}",
+)
+FILL_OUTERS = ("{head}", "F[{k}] ({head})", "G[{k}] ({head})", "AG[{k}] ({head})", "L[{k}] ({head})")
+FILL_WINDOWS = (0, 1, 2, 3, 5, 15)
+
+
+def _fill_column(rng, n, ones):
+    """n degrees: 1.0 at about the share ``ones``, in runs, else a degree of
+    FILL_DEGREES, a sixteenth or an off-grid value."""
+    column, v = [], 1.0
+    for _ in range(n):
+        if rng.random() < 0.5:  # runs: keep the last value half the time
+            v = 1.0 if rng.random() < ones else rng.choice(
+                FILL_DEGREES + (rng.randrange(16) / 16, rng.random(), 1.0 - rng.random() * 2.0**-40)
+            )
+        column.append(v)
+    return column
+
+
+def range_fill_outcomes(repeats=2, seed=26):
+    """One line per range fill: the hex of every value and the tags, or the
+    error's type and message.  Each head of FILL_HEADS at each window of
+    FILL_WINDOWS under each outer window, ``repeats`` times on a fresh
+    finite trace or lasso of 2 .. 40 states over ``a`` (mostly 1.0), ``b``
+    (about half 1.0) and ``c`` (few 1.0s), with fresh weights; for each
+    interpretation and policy, the fills from 0, 1 and n // 2 up to n + 2
+    and up to a drawn end, which may lie inside the trace."""
+    rng = random.Random(seed)
+    lines = []
+    shapes = itertools.product(FILL_HEADS, FILL_OUTERS, FILL_WINDOWS, range(repeats))
+    for head, outer, t, _ in shapes:
+        n = rng.randint(2, 40)
+        columns = (_fill_column(rng, n, 0.85), _fill_column(rng, n, 0.5), _fill_column(rng, n, 0.1))
+        trace = Trace(("a", "b", "c"), tuple(zip(*columns)), rng.choice((None, rng.randrange(n))))
+        eta = rng.choice(RELAXED_ETAS)
+        x, y = rng.choice("aabc"), rng.choice("abc")
+        text = outer.format(head=head.format(t=t, x=x, y=y), k=rng.choice((1, 2, 4, 9)))
+        f = parse(text)
+        lines.append(f"{text} {eta.table} {n} {trace.loop_start}")
+        for interp in (Z, G, L, P):
+            for policy in (FinitePolicy.STRICT,) if trace.is_lasso else FinitePolicy:
+                ctx = ctx_for(trace, interp, eta, policy)
+                for pos in (0, 1, n // 2):
+                    for end in (n + 2, rng.randint(pos + 2, n + 1)):
+                        try:
+                            values, tags = _range_read(ctx, f, pos, end - pos)
+                            lines.append(" ".join(v.hex() for v in values) + f" {tags}")
+                        except FtlError as exc:
+                            lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+#: sha256 of ``range_fill_outcomes()``, taken when every F[t], G[t], AG[t]
+#: and L[t] window of a range fill folded all of its values.
+RANGE_FILL_DIGEST = "11173b6a96cce94fdb59cfbb7be4fa5c8a9bb2baf0dd6aa4934c676e597d64e4"
+
+
+def test_range_fill_golden_outcomes():
+    """Values, tags and errors of range fills over columns rich in 1.0, 0.0
+    and -0.0 are those of folding every window in full."""
+    lines = range_fill_outcomes()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANGE_FILL_DIGEST
+
+
 #: eta = 1, 0.75, 0.5, 5e-324: the last weight times a value below 0.5 is 0.0.
 TINY_ETA = RELAXED_ETAS[-1]
 
@@ -1116,6 +1199,61 @@ def _check_relaxed_column(ctx, op, t, column):
 
 def _column_ctx(column, interp, eta):
     return ctx_for(Trace(("p",), tuple((v,) for v in column)), interp, eta, FinitePolicy.PAD_ZERO)
+
+
+def _kernel_column(seed, n):
+    """n degrees over FILL_DEGREES, in runs, about two thirds 1.0."""
+    return _fill_column(random.Random(seed), n, 0.7)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("t", [0, 1, 2, 15, 60])
+def test_slide_matches_the_fold_of_each_window(interp, t):
+    """F[t] and G[t] range fills: each window's value is _fold over its slice."""
+    ops = algebra.ops_for(interp)
+    for seed in range(6):
+        column = _kernel_column(100 * t + seed, 80 + t)
+        for op in (ops.tnorm, ops.tconorm):
+            want = [evaluator._fold(op, column[i : i + t + 1]).hex() for i in range(80)]
+            got = [v.hex() for v in evaluator._slide(op, column, 80, t + 1)]
+            assert got == want, (op.__name__, column)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("t", [0, 1, 2, 15, 60])
+def test_almost_always_fill_matches_best_drop_of_each_window(interp, t):
+    """AG[t] range fills: each window's value is _best_drop over the
+    window's own sorted (value, position) pairs."""
+    for eta, seed in itertools.product((parse_eta_spec("gauss:3"), parse_eta_spec("gauss:20"), TINY_ETA), range(3)):
+        column = _kernel_column(100 * t + seed, 80 + t)
+        ctx = _column_ctx(column, interp, eta)
+        keep = min(t, eta.n_eta - 1) + 1
+        want = []
+        for i in range(80):
+            window = column[i : i + t + 1]
+            kept = sorted(zip(window, itertools.count()))[:keep]
+            want.append(evaluator._best_drop(ctx.ops.tnorm, eta.table, window, kept).hex())
+        got = [v.hex() for v in _range_column(ctx, AlmostAlwaysB(t, Atom("p")), 80)]
+        assert got == want, (eta, column)
+
+
+@pytest.mark.parametrize("interp", [Z, G, L, P])
+@pytest.mark.parametrize("t", [0, 1, 2, 15, 60])
+def test_lasts_fill_matches_every_prefix_of_each_window(interp, t):
+    """L[t] range fills: each window's value is the first largest eta(j)
+    times its prefix fold that cuts j instants."""
+    for eta, seed in itertools.product((parse_eta_spec("gauss:3"), parse_eta_spec("gauss:20"), TINY_ETA), range(3)):
+        column = _kernel_column(100 * t + seed, 80 + t)
+        ctx = _column_ctx(column, interp, eta)
+        tnorm, j_top = ctx.ops.tnorm, min(t, eta.n_eta - 1)
+        weights, head = eta.table[: j_top + 1], t + 1 - j_top
+        want = []
+        for i in range(80):
+            window = column[i : i + t + 1]
+            prefix = list(itertools.accumulate(window[head:], tnorm, initial=evaluator._fold(tnorm, window[:head])))
+            want.append(max(map(operator.mul, reversed(prefix), weights)).hex())
+        got = [v.hex() for v in _range_column(ctx, parse(f"L[{t}] p"), 80)]
+        assert got == want, (eta, column)
 
 
 @pytest.mark.parametrize("interp", [L, P])

@@ -15,14 +15,13 @@ its horizon.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, gt, index, is_not, itemgetter, lt, mul, ne, or_
+from operator import eq, gt, index, is_not, itemgetter, lt, mul, ne
 from typing import Optional
 
 from . import algebra
@@ -66,24 +65,6 @@ class Exactness(Enum):
 _EXACT, _LOWER, _UPPER, _APPROX = range(4)
 _FLIPPED = (_EXACT, _UPPER, _LOWER, _APPROX)
 _EXACTNESS = tuple(Exactness)  # tag -> its Exactness member
-
-
-def _join(a, b):
-    """Pointwise join of two tag lists, either of which may be None (all
-    exact)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return list(map(or_, a, b))
-
-
-def _window_tags(tags, n: int, width: int):
-    """The joined tag of each window tags[i : i + width], i < n, or None when
-    every value is exact."""
-    if tags is None:
-        return None
-    return [functools.reduce(or_, set(tags[i : i + width]), _EXACT) for i in range(n)]
 
 
 #: Connective -> (C fold, saturated, drops, unit):
@@ -139,22 +120,31 @@ _BINARY = {
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Everything one evaluation needs; immutable, shareable."""
+    """Everything one evaluation needs; immutable, shareable.
+
+    A ``trace`` or ``eta`` of another class raises TypeError, and an
+    ``interp`` or ``finite_policy`` that is not a member of its enum raises
+    ValidationError; a subclass is refused too, so each field costs one test.
+    """
 
     trace: Trace
     interp: Interpretation
     eta: AvoidingFunction
     finite_policy: FinitePolicy = FinitePolicy.STRICT
-    _ops: ConnectiveOps = field(init=False, compare=False, repr=False)
+    ops: ConnectiveOps = field(init=False, compare=False, repr=False)
     _binary: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_ops", algebra.ops_for(self.interp))
+        if type(self.trace) is not Trace:
+            raise TypeError(f"trace must be a Trace, not {type(self.trace).__name__}")
+        if type(self.eta) is not AvoidingFunction:
+            raise TypeError(f"eta must be an AvoidingFunction, not {type(self.eta).__name__}")
+        if type(self.interp) is not Interpretation:
+            raise ValidationError(f"interpretation {self.interp!r} is not an Interpretation")
+        if type(self.finite_policy) is not FinitePolicy:
+            raise ValidationError(f"finite policy {self.finite_policy!r} is not a FinitePolicy")
+        object.__setattr__(self, "ops", algebra.ops_for(self.interp))
         object.__setattr__(self, "_binary", _BINARY[self.interp])
-
-    @property
-    def ops(self) -> ConnectiveOps:
-        return self._ops
 
 
 @dataclass(frozen=True)
@@ -397,18 +387,19 @@ def _relaxed_holds(values, tnorm, weights):
 class _Columns(dict):
     """The memo of one evaluation: ``id(node)`` -> the node's column.
 
-    A column holds the node's values at positions base, base+1, ... (None
-    while not computed), and a sparse dict of the positions whose exactness
-    is not Exact.  It starts with at most 64 slots, which covers a short
-    trace whole, and grows only as far as the evaluation reads, so a wide
-    formula evaluated at one position of a long trace stays small.
-    ``base`` is the lowest position the evaluation can read: the evaluated
-    position (past a finite trace, its padded tail at len(trace)), or the
-    loop start of a lasso if that is lower.  Under the pad-zero policy the
-    slot at len(trace) holds the value every padded position shares.
+    A column is a list of the node's values at positions base, base+1, ...
+    (None while not computed).  It starts with at most 64 slots, which
+    covers a short trace whole, and grows only as far as the evaluation
+    reads, so a wide formula evaluated at one position of a long trace stays
+    small.  ``base`` is the lowest position the evaluation can read: the
+    evaluated position (past a finite trace, its padded tail at len(trace)),
+    or the loop start of a lasso if that is lower.  Under the pad-zero
+    policy the slot at len(trace) holds the value every padded position
+    shares.
 
     ``runs`` is False while an evaluation is redone one position at a time
-    (see _run).
+    (see _run).  ``cut`` turns True once an unbounded operator is read on a
+    finite trace, the one place a value can be inexact (see _exactness).
 
     Keying by ``id`` means a lookup never hashes a subtree.  That is sound
     because the evaluator never builds formula nodes: every key is a node of
@@ -416,21 +407,21 @@ class _Columns(dict):
     call, so no id is reused while the memo lives.
     """
 
-    __slots__ = ("base", "_first", "runs")
+    __slots__ = ("base", "_first", "runs", "cut")
 
     def __init__(self, trace: Trace, pos: int) -> None:
         self.base = min(pos, len(trace) if trace.loop_start is None else trace.loop_start)
         self._first = min(len(trace) + 1 - self.base, 64)
         self.runs = True
+        self.cut = False
 
     def __missing__(self, key: int):
-        col = self[key] = ([None] * self._first, {})
+        col = self[key] = [None] * self._first
         return col
 
 
 def _span(ctx, arg, pos, n, memo):
-    """The values of ``arg`` at positions pos .. pos+n-1 and their tags:
-    None when every value is exact, else one tag per position.
+    """The values of ``arg`` at positions pos .. pos+n-1.
 
     Each missing run of the column is filled by one handler call, in
     position order.  Past the end of a finite trace the span repeats the
@@ -444,20 +435,15 @@ def _span(ctx, arg, pos, n, memo):
     trace = ctx.trace
     length = trace._length
     stop = pos + n
-    values, inexact = memo[id(arg)]
+    values = memo[id(arg)]
     base = memo.base
     if n == 1 and pos < length:  # a point read
         i = pos - base
         if i >= len(values):
             values.extend([None] * (i + 1 - len(values)))
-        v = values[i]
-        if v is None:
-            (v,), tags = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
-            values[i] = v
-            if tags and tags[0]:
-                inexact[pos] = tags[0]
-        ex = inexact.get(pos) if inexact else None
-        return [v], None if ex is None else [ex]
+        if values[i] is None:
+            values[i : i + 1] = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
+        return values[i : i + 1]
     loop = trace.loop_start
     if loop is not None and pos >= length:
         pos = trace.resolve(pos)  # the same suffix, from a stored state
@@ -490,86 +476,70 @@ def _span(ctx, arg, pos, n, memo):
                 k = end  # the rest of the range is missing
             else:
                 k = next(compress(count(i), map(is_not, missing[i:], repeat(None))))
-            out, tags = handler(ctx, arg, lo + i, lo + k, memo)
+            out = handler(ctx, arg, lo + i, lo + k, memo)
             values[lo + i - base : lo + k - base] = out
-            if tags is not None:
-                inexact.update((q, e) for q, e in zip(count(lo + i), tags) if e)
             missing[i:k] = out
             i = missing.index(None, k)
     if stop <= length:
-        out = values[pos - base : stop - base]
-    elif loop is not None:
+        return values[pos - base : stop - base]
+    if loop is not None:
         cycle = values[loop - base : length - base]
         m = stop - length  # positions read around the loop, from its start on
-        out = values[pos - base : length - base] + (cycle * (m // len(cycle) + 1))[:m]
-        return out, None  # on a lasso every value is exact, unbounded ones included
-    elif ctx.finite_policy is FinitePolicy.STRICT:
+        return values[pos - base : length - base] + (cycle * (m // len(cycle) + 1))[:m]
+    if ctx.finite_policy is FinitePolicy.STRICT:
         raise HorizonExceedsTrace(
             f"position {max(pos, length)} leaves the {length}-state finite trace "
             "under the strict policy"
         )
-    else:
-        tail = [values[length - base]] * (stop - max(pos, length))
-        out = values[pos - base : length - base] + tail
-    if not inexact:
-        return out, None
-    tags = [inexact.get(q, _EXACT) for q in range(pos, min(stop, length))]
-    if stop > length:
-        tags += [inexact.get(length, _EXACT)] * (stop - max(pos, length))
-    return out, tags if any(tags) else None
+    tail = [values[length - base]] * (stop - max(pos, length))
+    return values[pos - base : length - base] + tail
 
 
 # ---------------------------------------------------------------------------
 # Handlers: each fills the run lo .. hi-1 of its node's column
 # ---------------------------------------------------------------------------
 #
-# A handler returns the run's values and their tags (None when all exact).
-# A run lies inside the trace, or is the padded tail slot of a finite trace
-# under the pad-zero policy, or both: lo < hi <= len(trace) + 1.
+# A handler returns the run's values.  A run lies inside the trace, or is
+# the padded tail slot of a finite trace under the pad-zero policy, or both:
+# lo < hi <= len(trace) + 1.
 
 
 def _h_atom(ctx, f, lo, hi, memo):
     name = f.name
     j = eta_atom_index(name)
     if j is not None:
-        return [ctx.eta.lookup(j)] * (hi - lo), None
+        return [ctx.eta.lookup(j)] * (hi - lo)
     trace = ctx.trace
     length = trace._length
     if lo >= length:  # padded region of a finite trace
-        return [0.0], None
+        return [0.0]
     k = trace._index.get(name)
     if k is None:
         trace.at(lo, name)  # raises the unknown-atom error
     if hi == lo + 1:
-        return [trace.states[lo][k]], None
+        return [trace.states[lo][k]]
     out = list(map(itemgetter(k), trace.states[lo:hi]))
     if hi > length:
         out.append(0.0)
-    return out, None
+    return out
 
 
 def _h_top(ctx, f, lo, hi, memo):
-    return [1.0] * (hi - lo), None
+    return [1.0] * (hi - lo)
 
 
 def _h_bot(ctx, f, lo, hi, memo):
-    return [0.0] * (hi - lo), None
+    return [0.0] * (hi - lo)
 
 
 def _h_not(ctx, f, lo, hi, memo):
-    values, tags = _span(ctx, f.arg, lo, hi - lo, memo)
-    return list(map(ctx.ops.neg, values)), tags and list(map(_FLIPPED.__getitem__, tags))
+    return list(map(ctx.ops.neg, _span(ctx, f.arg, lo, hi - lo, memo)))
 
 
 def _h_binary(ctx, f, lo, hi, memo):
-    left, ltags = _span(ctx, f.left, lo, hi - lo, memo)
-    right, rtags = _span(ctx, f.right, lo, hi - lo, memo)
-    out = list(map(ctx._binary[type(f)], left, right))
-    if ltags is None and rtags is None:
-        return out, None
-    if ltags is not None and OPERATORS[type(f)].keyword == "->":  # antitone in its premise
-        ltags = list(map(_FLIPPED.__getitem__, ltags))
-    return out, _join(ltags, rtags)
+    left = _span(ctx, f.left, lo, hi - lo, memo)
+    right = _span(ctx, f.right, lo, hi - lo, memo)
+    return list(map(ctx._binary[type(f)], left, right))
 
 
 def _h_next(ctx, f, lo, hi, memo):
@@ -611,7 +581,7 @@ def _weighted_windows(ctx, arg, start, n, weights, head, memo):
     window of zero terms alone is folded whole, which gives its sign.
     """
     width = len(weights)
-    values, tags = _span(ctx, arg, start, n + width - 1, memo)
+    values = _span(ctx, arg, start, n + width - 1, memo)
     tconorm = ctx.ops.tconorm
     out = []
     if tconorm is not algebra._maximum:
@@ -641,7 +611,7 @@ def _weighted_windows(ctx, arg, start, n, weights, head, memo):
                     best = term
                 s = nxt[s]
             out.append(best)
-    return out, _window_tags(tags, n, width)
+    return out
 
 
 def _h_soon(ctx, f, lo, hi, memo):
@@ -676,7 +646,7 @@ def _h_lasts(ctx, f, lo, hi, memo):
     """
     t = f.bound
     n = hi - lo
-    values, tags = _span(ctx, f.arg, lo, n + t, memo)
+    values = _span(ctx, f.arg, lo, n + t, memo)
     tnorm = ctx.ops.tnorm
     j_top = min(t, ctx.eta.n_eta - 1)
     weights = ctx.eta.table[: j_top + 1]
@@ -695,14 +665,14 @@ def _h_lasts(ctx, f, lo, hi, memo):
                     best = cand
                 k, s = s, nxt[s]
             out.append(values[k] if values[k] >= best else best)  # j = 0, at eta(0) = 1.0
-        return out, _window_tags(tags, n, t + 1)
+        return out
     heads = _slide(tnorm, values, n, head)
     if _CONNECTIVES[tnorm][3] != (1.0, 0):
         for i, first in enumerate(heads):
             # the prefix folds of the window that cut j = j_top .. 0 instants
             prefix = list(accumulate(values[i + head : i + t + 1], tnorm, initial=first))
             out.append(max(map(mul, reversed(prefix), weights)))
-        return out, _window_tags(tags, n, t + 1)
+        return out
     below = list(compress(count(), map(ne, values, repeat(1.0))))
     for i, acc in enumerate(heads):
         # the whole window, then each prefix that ends just before a value
@@ -713,7 +683,7 @@ def _h_lasts(ctx, f, lo, hi, memo):
             acc = tnorm(acc, values[q])
         cands.append(acc)
         out.append(max(reversed(cands)))
-    return out, _window_tags(tags, n, t + 1)
+    return out
 
 
 #: A chunked read's first chunk (a read this wide or narrower is one chunk),
@@ -724,11 +694,11 @@ _GROWTH = 4
 
 
 def _chunks(ctx, arg, pos, width, memo):
-    """``arg``'s spans (values, tags) covering pos .. pos+width-1 in growing
-    chunks, for a reader that may stop once its value is decided.  Under the
-    strict policy a finite trace's window is one chunk: how far it reaches
-    decides HorizonExceedsTrace.  Any other error is met at the first
-    position, which is always read."""
+    """``arg``'s spans covering pos .. pos+width-1 in growing chunks, for a
+    reader that may stop once its value is decided.  Under the strict policy
+    a finite trace's window is one chunk: how far it reaches decides
+    HorizonExceedsTrace.  Any other error is met at the first position,
+    which is always read."""
     strict = ctx.finite_policy is FinitePolicy.STRICT and not ctx.trace.is_lasso
     read, n = 0, width if strict else _FIRST_CHUNK
     while read < width:
@@ -739,22 +709,18 @@ def _chunks(ctx, arg, pos, width, memo):
 
 
 def _point_fold(ctx, arg, pos, width, op, memo):
-    """The left fold of ``op`` over ``arg`` at pos .. pos+width-1, and its
-    joined exactness, read in chunks until the fold is saturated and every
-    chunk was exact (a node is exact at every position or at none).  A fold
-    with no saturated value reads its window at once."""
+    """The left fold of ``op`` over ``arg`` at pos .. pos+width-1, read in
+    chunks until the fold is saturated.  A fold with no saturated value
+    reads its window at once."""
     final = _CONNECTIVES[op][1]
     if final is None:
-        spans = [_span(ctx, arg, pos, width, memo)]
-    else:
-        spans = _chunks(ctx, arg, pos, width, memo)
-    acc, tag = None, _EXACT
-    for values, tags in spans:
+        return _fold(op, _span(ctx, arg, pos, width, memo))
+    acc = None
+    for values in _chunks(ctx, arg, pos, width, memo):
         acc = _fold(op, values if acc is None else chain((acc,), values))
-        tag = functools.reduce(or_, set(tags or ()), tag)
-        if acc == final and not tag:
+        if acc == final:
             break
-    return acc, tag
+    return acc
 
 
 def _fold_window(ctx, f, lo, hi, t, memo, unit):
@@ -762,10 +728,8 @@ def _fold_window(ctx, f, lo, hi, t, memo, unit):
     n = hi - lo
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if n == 1:
-        v, tag = _point_fold(ctx, f.arg, lo, t + 1, op, memo)
-        return [v], [tag] if tag else None
-    values, tags = _span(ctx, f.arg, lo, n + t, memo)
-    return _slide(op, values, n, t + 1), _window_tags(tags, n, t + 1)
+        return [_point_fold(ctx, f.arg, lo, t + 1, op, memo)]
+    return _slide(op, _span(ctx, f.arg, lo, n + t, memo), n, t + 1)
 
 
 def _ag_window(ctx, f, lo, hi, t, memo, _):
@@ -781,8 +745,7 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
     weight and the first.
     """
     n = hi - lo
-    values, tags = _span(ctx, f.arg, lo, n + t, memo)
-    tags = _window_tags(tags, n, t + 1)
+    values = _span(ctx, f.arg, lo, n + t, memo)
     weights = ctx.eta.table
     tnorm = ctx.ops.tnorm
     if tnorm is algebra._minimum:
@@ -799,7 +762,7 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
             del window[bisect_left(window, old)]
             insort(window, new)
             out.append(max(map(mul, window, weights)))
-        return out, tags
+        return out
     keep = min(t, len(weights) - 1) + 1
     # the positions a window folds, and their values: under Product those
     # below 1.0, else all
@@ -827,7 +790,7 @@ def _ag_window(ctx, f, lo, hi, t, memo, _):
         if b < len(held) and held[b] == i + t + 1:
             insort(window, (folded[b], b))
             b += 1
-    return out, tags
+    return out
 
 
 def _until_window(ctx, f, lo, hi, t, memo, almost):
@@ -864,11 +827,10 @@ def _until_window(ctx, f, lo, hi, t, memo, almost):
         for p in range(lo, min(lo + t, ctx.trace._length)):
             _span(ctx, right, p, 1, memo)
             _span(ctx, left, p, 1, memo)
-    right, rtags = _span(ctx, right, lo, n + t, memo)
-    left, ltags = _span(ctx, left, lo, n + t - 1, memo)
-    tags = _join(_window_tags(rtags, n, t + 1), _window_tags(ltags, n, t))
+    right = _span(ctx, right, lo, n + t, memo)
+    left = _span(ctx, left, lo, n + t - 1, memo)
     if t == 0:
-        return right[:n], tags
+        return right[:n]
     step = ctx.ops.tnorm
     weights = ctx.eta.table
     min_k = ctx.eta.n_eta if almost else 0
@@ -900,7 +862,7 @@ def _until_window(ctx, f, lo, hi, t, memo, almost):
         else:
             best = _scan(best, ahead, _relaxed_holds(window, step, weights), step, min_k)
         out.append(best)
-    return out, tags
+    return out
 
 
 def _caps(right, step):
@@ -934,9 +896,8 @@ def _h_scale(ctx, f, lo, hi, memo):
         raise ScaleIndexOutOfRange(
             f"scaling index {f.index} outside 1..{ctx.eta.n_eta - 1}"
         )
-    values, tags = _span(ctx, f.arg, lo, hi - lo, memo)
     w = ctx.eta.lookup(f.index)
-    return [scale(v, w) for v in values], tags
+    return [scale(v, w) for v in _span(ctx, f.arg, lo, hi - lo, memo)]
 
 
 # -- unbounded operators -----------------------------------------------------
@@ -951,12 +912,12 @@ def _unb_fold(ctx, f, start, memo, unit):
     period = ctx.trace.loop_length
     op = ctx.ops.tnorm if unit else ctx.ops.tconorm
     if ctx.ops.tnorm is algebra._minimum:
-        return _point_fold(ctx, f.arg, start, head + period, op, memo)[0]
+        return _point_fold(ctx, f.arg, start, head + period, op, memo)
     # a loop value other than the unit recurs forever and drives the fold to
     # the absorbing element: 0 for the t-norm, 1 for the t-conorm
-    if any(loop.count(unit) < len(loop) for loop, _ in _chunks(ctx, f.arg, start + head, period, memo)):
+    if any(loop.count(unit) < len(loop) for loop in _chunks(ctx, f.arg, start + head, period, memo)):
         return 1.0 - unit
-    return _point_fold(ctx, f.arg, start, head, op, memo)[0] if head else unit
+    return _point_fold(ctx, f.arg, start, head, op, memo) if head else unit
 
 
 def _unb_almost_always(ctx, f, start, memo, _):
@@ -964,18 +925,18 @@ def _unb_almost_always(ctx, f, start, memo, _):
     eta = ctx.eta
     period = ctx.trace.loop_length
     if ctx.ops.tnorm is algebra._minimum:
-        values = _span(ctx, f.arg, start, head + period, memo)[0]
+        values = _span(ctx, f.arg, start, head + period, memo)
         # loop values recur forever, so dropping them is futile: the j-th
         # smallest kept is a prefix value only below the loop's minimum (the
         # loop copies sort first, so they win a tie of 0.0 and -0.0)
         kept = sorted([min(values[head:])] * eta.n_eta + values[:head])[: eta.n_eta]
         return max(map(mul, kept, eta.table))
-    if any(loop.count(1.0) < len(loop) for loop, _ in _chunks(ctx, f.arg, start + head, period, memo)):
+    if any(loop.count(1.0) < len(loop) for loop in _chunks(ctx, f.arg, start + head, period, memo)):
         return 0.0
     # dropping the j smallest prefix values retains sp[j:]; folding from the
     # back prices every j with one t-norm
     tnorm = ctx.ops.tnorm
-    sp = sorted(_span(ctx, f.arg, start, head, memo)[0])
+    sp = sorted(_span(ctx, f.arg, start, head, memo))
     best = eta.lookup(len(sp))  # every prefix value dropped; only 1s remain
     gj = None
     for j in range(len(sp) - 1, -1, -1):
@@ -994,7 +955,7 @@ def _unb_until(ctx, f, start, memo, almost):
     head = max(0, ctx.trace.loop_start - start)
     min_k = ctx.eta.n_eta if almost else 0
     t = max(head, min_k) + ctx.trace.loop_length
-    return _until_window(ctx, f, start, start + 1, t, memo, almost)[0][0]
+    return _until_window(ctx, f, start, start + 1, t, memo, almost)[0]
 
 
 #: Unbounded keyword -> (window kernel, exact lasso limit, the tag of a
@@ -1020,19 +981,14 @@ _TEMPORAL = {
 
 
 def _h_temporal(ctx, f, lo, hi, memo):
-    window, limit, tag, arg = _TEMPORAL[type(f)]
+    window, limit, _, arg = _TEMPORAL[type(f)]
     if limit is None:
         return window(ctx, f, lo, hi, f.bound, memo, arg)
     if ctx.trace.is_lasso:
-        return [limit(ctx, f, p, memo, arg) for p in range(lo, hi)], None
-    # each position's largest window on a finite trace, tagged with its bound
-    # direction
-    out, tags = [], []
-    for p in range(lo, hi):
-        (v,), ptags = window(ctx, f, p, p + 1, max(0, len(ctx.trace) - 1 - p), memo, arg)
-        out.append(v)
-        tags.append(ptags[0] | tag if ptags else tag)
-    return out, tags
+        return [limit(ctx, f, p, memo, arg) for p in range(lo, hi)]
+    memo.cut = True  # each position's largest window on a finite trace
+    last = len(ctx.trace) - 1
+    return [window(ctx, f, p, p + 1, max(0, last - p), memo, arg)[0] for p in range(lo, hi)]
 
 
 class _Handlers(dict):
@@ -1057,6 +1013,64 @@ _HANDLERS = _Handlers({
     else _BY_KEYWORD[spec.keyword]
     for spec in OPERATORS.values()
 })
+
+
+# ---------------------------------------------------------------------------
+# Exactness
+# ---------------------------------------------------------------------------
+
+
+def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
+    """The exactness tag of ``f``'s values at positions a .. b.
+
+    Only an unbounded operator cut at the last state of a finite trace is
+    inexact, so the tag is the | of what the unbounded operators read from
+    ``f`` add: LowerBound for F, U and AU, UpperBound for G, Approximate for
+    AG, each swapped under an odd number of antitone places (the argument
+    of ! and the premise of ->).  A top-down walk over (node, read interval)
+    pairs follows the handlers: X shifts by one step; F[t], G[t], AG[t] and
+    L[t] read [a, b+t]; S reads [a+1, b+n_eta]; W[t] reads
+    [a, b+t+n_eta-1]; U[t] and AU[t] read their right child on [a, b+t] and
+    their left on [a, b+t-1], nothing when t is 0; an unbounded operator
+    reads its argument or right child on [a, max(b, len-1)] and its left on
+    [a, len-2]; the others read their children on [a, b].  A position past
+    the end is the padded slot at len.  The walk reads no value and raises
+    no error: evaluate runs it after the evaluation, and only when that read
+    an unbounded operator on a finite trace.
+    """
+    trace = ctx.trace
+    if trace.is_lasso:
+        return _EXACT
+    end, n_eta = trace._length, ctx.eta.n_eta
+    tag, seen, stack = _EXACT, set(), [(f, a, b, False)]
+    while stack and tag != _APPROX:
+        f, a, b, flip = stack.pop()
+        spec = OPERATORS[type(f)]
+        while spec.keyword == "X":  # one step per X, as _h_next unwraps them
+            f, a, b = f.arg, a + 1, b + 1
+            spec = OPERATORS[type(f)]
+        a, b = min(a, end), min(b, end)
+        if (id(f), a, b, flip) in seen:
+            continue
+        seen.add((id(f), a, b, flip))
+        keyword = spec.keyword
+        hi = left_hi = b  # the argument or right child reads [a, hi], the left [a, left_hi]
+        if spec.unbounded:
+            added = _TEMPORAL[type(f)][2]
+            tag |= _FLIPPED[added] if flip else added
+            hi, left_hi = max(b, end - 1), end - 2
+        elif spec.param == "bound":  # F[t], G[t], AG[t], L[t], W[t], U[t] or AU[t]
+            hi += f.bound + (n_eta - 1 if keyword == "W" else 0)
+            left_hi = hi - 1 if f.bound else -1
+        elif keyword == "S":
+            a, hi = a + 1, b + n_eta
+        if spec.level < Level.UNARY:  # a binary connective, U or AU
+            stack.append((f.right, a, hi, flip))
+            if a <= left_hi:
+                stack.append((f.left, a, left_hi, flip != (keyword == "->")))
+        elif spec.children:
+            stack.append((f.arg, a, hi, flip != (keyword == "!")))
+    return tag
 
 
 # ---------------------------------------------------------------------------
@@ -1086,11 +1100,14 @@ def _run(ctx: EvalContext, pos: int, read):
 
 
 def _integer(x, what: str) -> int:
-    """``x`` as an int, as a slice index reads it."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValidationError(f"{what} {x!r} is not an integer") from None
+    """``x`` as an int, as a slice index reads it, but not a bool, which
+    ``Trace`` refuses as a loop start and the node constructors as a bound."""
+    if type(x) is not bool:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} {x!r} is not an integer")
 
 
 def _position(ctx: EvalContext, pos) -> int:
@@ -1108,8 +1125,8 @@ def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
     pos = _position(ctx, pos)
     if type(f) not in _HANDLERS:
         raise TypeError(f"unknown formula node {f!r}")
-    (value,), tags = _run(ctx, pos, lambda memo: _span(ctx, f, pos, 1, memo))
-    return EvalResult(value, _EXACTNESS[tags[0] if tags else _EXACT])
+    (value,), cut = _run(ctx, pos, lambda memo: (_span(ctx, f, pos, 1, memo), memo.cut))
+    return EvalResult(value, _EXACTNESS[_exactness(ctx, f, pos, pos) if cut else _EXACT])
 
 
 def almost_always_fast(
@@ -1132,7 +1149,7 @@ def almost_always_fast(
         raise ValidationError(f"negative window {t}")
     if type(phi) not in _HANDLERS:
         raise TypeError(f"unknown formula node {phi!r}")
-    values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo)[0])
+    values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo))
     keep = min(t, ctx.eta.n_eta - 1) + 1
     kept = _select_smallest(values, keep, counter)
     if counter is not None:

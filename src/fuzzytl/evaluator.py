@@ -125,6 +125,12 @@ class EvalContext:
     A ``trace`` or ``eta`` of another class raises TypeError, and an
     ``interp`` or ``finite_policy`` that is not a member of its enum raises
     ValidationError; a subclass is refused too, so each field costs one test.
+
+    ``_end`` and ``_wrap`` are where reads end and where a read past the end
+    wraps to, or None where it raises: a lasso wraps to its loop start, and
+    a finite trace under the pad-zero policy ends one position later, at the
+    zero state at len(trace), which loops on itself.  The states are not
+    copied: _h_atom reads the zero state as 0.0.
     """
 
     trace: Trace
@@ -133,6 +139,8 @@ class EvalContext:
     finite_policy: FinitePolicy = FinitePolicy.STRICT
     ops: ConnectiveOps = field(init=False, compare=False, repr=False)
     _binary: dict = field(init=False, compare=False, repr=False)
+    _end: int = field(init=False, compare=False, repr=False)
+    _wrap: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.trace) is not Trace:
@@ -143,8 +151,13 @@ class EvalContext:
             raise ValidationError(f"interpretation {self.interp!r} is not an Interpretation")
         if type(self.finite_policy) is not FinitePolicy:
             raise ValidationError(f"finite policy {self.finite_policy!r} is not a FinitePolicy")
+        end, wrap = self.trace._length, self.trace.loop_start
+        if wrap is None and self.finite_policy is FinitePolicy.PAD_ZERO:
+            end, wrap = end + 1, end
         object.__setattr__(self, "ops", algebra.ops_for(self.interp))
         object.__setattr__(self, "_binary", _BINARY[self.interp])
+        object.__setattr__(self, "_end", end)
+        object.__setattr__(self, "_wrap", wrap)
 
 
 @dataclass(frozen=True)
@@ -392,10 +405,8 @@ class _Columns(dict):
     covers a short trace whole, and grows only as far as the evaluation
     reads, so a wide formula evaluated at one position of a long trace stays
     small.  ``base`` is the lowest position the evaluation can read: the
-    evaluated position (past a finite trace, its padded tail at len(trace)),
-    or the loop start of a lasso if that is lower.  Under the pad-zero
-    policy the slot at len(trace) holds the value every padded position
-    shares.
+    evaluated position (past a finite trace, the zero state at len(trace)),
+    or the loop start of a lasso if that is lower.
 
     ``runs`` is False while an evaluation is redone one position at a time
     (see _run).  ``cut`` turns True once an unbounded operator is read on a
@@ -424,38 +435,30 @@ def _span(ctx, arg, pos, n, memo):
     """The values of ``arg`` at positions pos .. pos+n-1.
 
     Each missing run of the column is filled by one handler call, in
-    position order.  Past the end of a finite trace the span repeats the
-    padded tail value, or raises HorizonExceedsTrace under the strict policy
-    naming the first position past the end once the positions before it are
-    filled.  A lasso span that starts past the end starts at
-    ``Trace.resolve(pos)``, the stored state of the same suffix, and reads
-    past the end from the loop's start.  So the values filled, and the error
-    met first, are those of a position-by-position read.
+    position order.  A span that reaches ``ctx._end`` reads on from
+    ``ctx._wrap``, or raises HorizonExceedsTrace naming the first position
+    past the end once the positions before it are filled; one that starts
+    past the end starts at the position it wraps to, the same suffix.  So
+    the values filled, and the error met first, are those of a
+    position-by-position read.
     """
-    trace = ctx.trace
-    length = trace._length
+    end, wrap = ctx._end, ctx._wrap
     stop = pos + n
     values = memo[id(arg)]
     base = memo.base
-    if n == 1 and pos < length:  # a point read
+    if n == 1 and pos < end:  # a point read
         i = pos - base
         if i >= len(values):
             values.extend([None] * (i + 1 - len(values)))
         if values[i] is None:
             values[i : i + 1] = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
         return values[i : i + 1]
-    loop = trace.loop_start
-    if loop is not None and pos >= length:
-        pos = trace.resolve(pos)  # the same suffix, from a stored state
+    if wrap is not None and pos >= end:
+        pos = wrap + (pos - wrap) % (end - wrap)
         stop = pos + n
-    if stop <= length:
-        fills = ((pos, stop),)
-    elif loop is not None:
-        fills = ((pos, length), (loop, min(length, loop + stop - length)))
-    elif ctx.finite_policy is FinitePolicy.STRICT:
-        fills = ((pos, length),)
-    else:
-        fills = ((min(pos, length), length + 1),)
+    fills = ((pos, min(stop, end)),)
+    if wrap is not None and pos > wrap:  # the loop before pos, as far as read
+        fills += ((wrap, min(pos, wrap + stop - end)),)
     for lo, hi in fills:
         if lo >= hi:
             continue
@@ -466,42 +469,39 @@ def _span(ctx, arg, pos, n, memo):
         if None not in missing:
             continue
         handler = _HANDLERS[type(arg)]
-        end = len(missing)
+        size = len(missing)
         missing.append(None)  # a sentinel, so index(None) always finds one
         i = missing.index(None)
-        while i < end:
+        while i < size:
             if not memo.runs:
                 k = i + 1
-            elif missing.count(None) == end + 1 - i:
-                k = end  # the rest of the range is missing
+            elif missing.count(None) == size + 1 - i:
+                k = size  # the rest of the range is missing
             else:
                 k = next(compress(count(i), map(is_not, missing[i:], repeat(None))))
             out = handler(ctx, arg, lo + i, lo + k, memo)
             values[lo + i - base : lo + k - base] = out
             missing[i:k] = out
             i = missing.index(None, k)
-    if stop <= length:
+    if stop <= end:
         return values[pos - base : stop - base]
-    if loop is not None:
-        cycle = values[loop - base : length - base]
-        m = stop - length  # positions read around the loop, from its start on
-        return values[pos - base : length - base] + (cycle * (m // len(cycle) + 1))[:m]
-    if ctx.finite_policy is FinitePolicy.STRICT:
+    if wrap is None:
         raise HorizonExceedsTrace(
-            f"position {max(pos, length)} leaves the {length}-state finite trace "
+            f"position {max(pos, end)} leaves the {end}-state finite trace "
             "under the strict policy"
         )
-    tail = [values[length - base]] * (stop - max(pos, length))
-    return values[pos - base : length - base] + tail
+    cycle = values[wrap - base : end - base]
+    m = stop - end  # positions read around the loop, from its start on
+    return values[pos - base : end - base] + cycle * (m // len(cycle)) + cycle[: m % len(cycle)]
 
 
 # ---------------------------------------------------------------------------
 # Handlers: each fills the run lo .. hi-1 of its node's column
 # ---------------------------------------------------------------------------
 #
-# A handler returns the run's values.  A run lies inside the trace, or is
-# the padded tail slot of a finite trace under the pad-zero policy, or both:
-# lo < hi <= len(trace) + 1.
+# A handler returns the run's values.  A run lies inside the positions
+# reads reach, lo < hi <= ctx._end, which under the pad-zero policy hold
+# the zero state at len(trace).
 
 
 def _h_atom(ctx, f, lo, hi, memo):
@@ -510,12 +510,12 @@ def _h_atom(ctx, f, lo, hi, memo):
     if j is not None:
         return [ctx.eta.lookup(j)] * (hi - lo)
     trace = ctx.trace
-    length = trace._length
-    if lo >= length:  # padded region of a finite trace
-        return [0.0]
     k = trace._index.get(name)
     if k is None:
         trace.at(lo, name)  # raises the unknown-atom error
+    length = trace._length
+    if lo >= length:  # the zero state
+        return [0.0]
     if hi == lo + 1:
         return [trace.states[lo][k]]
     out = list(map(itemgetter(k), trace.states[lo:hi]))
@@ -695,12 +695,10 @@ _GROWTH = 4
 
 def _chunks(ctx, arg, pos, width, memo):
     """``arg``'s spans covering pos .. pos+width-1 in growing chunks, for a
-    reader that may stop once its value is decided.  Under the strict policy
-    a finite trace's window is one chunk: how far it reaches decides
-    HorizonExceedsTrace.  Any other error is met at the first position,
-    which is always read."""
-    strict = ctx.finite_policy is FinitePolicy.STRICT and not ctx.trace.is_lasso
-    read, n = 0, width if strict else _FIRST_CHUNK
+    reader that may stop once its value is decided.  With no wrap a window
+    is one chunk: how far it reaches decides HorizonExceedsTrace.  Any other
+    error is met at the first position, which is always read."""
+    read, n = 0, width if ctx._wrap is None else _FIRST_CHUNK
     while read < width:
         n = min(n, width - read)
         yield _span(ctx, arg, pos + read, n, memo)
@@ -1034,7 +1032,7 @@ def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
     their left on [a, b+t-1], nothing when t is 0; an unbounded operator
     reads its argument or right child on [a, max(b, len-1)] and its left on
     [a, len-2]; the others read their children on [a, b].  A position past
-    the end is the padded slot at len.  The walk reads no value and raises
+    the end is the zero state at len.  The walk reads no value and raises
     no error: evaluate runs it after the evaluation, and only when that read
     an unbounded operator on a finite trace.
     """
@@ -1112,10 +1110,10 @@ def _integer(x, what: str) -> int:
 
 def _position(ctx: EvalContext, pos) -> int:
     """``pos`` as an int, checked as where an evaluation starts: not
-    negative, and not past the end of a finite trace under the strict
-    policy, as ``Trace.resolve`` checks it."""
+    negative, and not past the end of a trace whose reads do not wrap, as
+    ``Trace.resolve`` checks it."""
     pos = _integer(pos, "position")
-    if pos < 0 or ctx.finite_policy is FinitePolicy.STRICT:
+    if pos < 0 or ctx._wrap is None:
         ctx.trace.resolve(pos)  # raises PositionOutOfRange
     return pos
 

@@ -6,10 +6,11 @@ import functools
 import gc
 import json
 import re
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .core import AvoidingFunction, Trace
+from .core import AvoidingFunction, Trace, degree
 from .errors import ValidationError
 from .parser import _is_atom_name, below_ceiling
 
@@ -20,6 +21,19 @@ def _check_atom_names(atoms) -> tuple[str, ...]:
         if not isinstance(name, str) or not _is_atom_name(name):
             raise ValidationError(f"{name!r} is not a usable atom name")
     return names
+
+
+def _check_cells(states) -> None:
+    """Refuse a JSON string or boolean cell, which ``float`` would read as a
+    number, naming the first bad cell in row-major order as ``Trace`` does.
+    One C-level pass over the cell types finds whether there is one."""
+    cells = chain.from_iterable
+    if {str, bool}.isdisjoint(map(type, cells(states))):
+        return
+    for v in cells(states):
+        if type(v) in (str, bool):
+            raise ValidationError(f"truth degree {v!r} is not a number")
+        degree(v)  # raises for an earlier bad cell of another kind
 
 
 def _collector_paused(load):
@@ -62,6 +76,7 @@ def trace_from_json(text: str) -> Trace:
     loop = doc.get("loop")
     if loop is not None and (not isinstance(loop, int) or isinstance(loop, bool)):
         raise ValidationError(f"'loop' must be an integer index, got {loop!r}")
+    _check_cells(states)
     return Trace(atoms, states, loop)
 
 

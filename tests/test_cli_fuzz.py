@@ -144,6 +144,9 @@ def test_cli_cases_end_in_a_value_or_one_typed_line(tmp_path):
         codes.add(code)
         if argv[0] == "rewrite" and int(argv[argv.index("--budget") + 1]) <= 0:
             assert code == cli._EXIT_VALIDATION and err.startswith("validation error: --budget"), where
+        loaded = {value for flag, value in zip(argv, argv[1:]) if flag in ("--trace", "--verify")}
+        if not loaded.isdisjoint(traces[1]):  # a malformed file never loads
+            assert code, where
         if code:
             assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, where
             continue

@@ -174,6 +174,11 @@ class TestFinitePolicies:
     def test_unknown_atom_surfaces(self):
         with pytest.raises(UnknownAtom):
             evaluate(ctx_for(WORKED), parse("nope"))
+        # past the end too, where pad-zero reads the zero state
+        pad = ctx_for(WORKED, policy=FinitePolicy.PAD_ZERO)
+        for text, pos in (("X[2] nope", 3), ("nope", 4), ("G[9] nope", 9)):
+            with pytest.raises(UnknownAtom, match="^atom 'nope' not in trace"):
+                evaluate(pad, parse(text), pos)
 
 
 class TestContextFields:
@@ -1598,8 +1603,9 @@ def point_fold_outcomes():
 
 
 #: sha256 of the ``evaluate`` lines of ``point_fold_outcomes()``, taken when
-#: every point F/G read its child's whole window.
-POINT_FOLD_DIGEST = "c5fca2c405d49816f1bf6082cf7d7ce851c3090c38f830fb5899715c7f2726d6"
+#: every point F/G read its child's whole window, and re-taken when pad-zero
+#: began to read an unknown atom past the end as UnknownAtom rather than 0.0.
+POINT_FOLD_DIGEST = "3e3a15434ef67482a64e1554e85e0720e204a0aff832dd521e70bb3aa4b68410"
 
 
 def test_point_folds_match_the_full_read():
@@ -1610,6 +1616,37 @@ def test_point_folds_match_the_full_read():
     assert not mismatches, mismatches[:5]
     lines = "\n".join(got for got, _ in outcomes)
     assert hashlib.sha256(lines.encode()).hexdigest() == POINT_FOLD_DIGEST
+
+
+def _outcome(ctx, f, pos):
+    try:
+        result = evaluate(ctx, f, pos)
+    except FtlError as exc:
+        return type(exc)
+    return result.value.hex(), result.exactness
+
+
+def test_pad_zero_is_the_zero_state_lasso():
+    """Pad-zero reads a finite trace as the lasso that appends one all-zero
+    state looping on itself: the same value, tag and error class at every
+    position up to two past the end.  The formulas are bounded (pad-zero
+    cuts an unbounded operator at the last state), read an undeclared atom
+    too, and may scale by an index the 3-entry table lacks, so errors of
+    two classes compete."""
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        rows = tuple((rng.choice((0.0, 0.25, 1.0)), rng.random()) for _ in range(n))
+        finite = Trace(("p", "q"), rows)
+        lasso = Trace(("p", "q"), rows + ((0.0, 0.0),), n)
+        f = random_formula(rng, ("p", "q", "zz"), n_eta=4, allow_unbounded=False)
+        for interp in (Z, G, L, P):
+            padded, looped = ctx_for(finite, interp, ETA_3, FinitePolicy.PAD_ZERO), ctx_for(lasso, interp)
+            for pos in range(n + 3):
+                assert _outcome(padded, f, pos) == _outcome(looped, f, pos), (f, rows, interp, pos)
+                checked += 1
+    assert checked > 40000
 
 
 def _full_limit_line(ctx, f, pos):

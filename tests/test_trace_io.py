@@ -177,8 +177,9 @@ def csv_ingest_cases():
 
 #: sha256 of the outcomes of ``json_ingest_cases`` and ``csv_ingest_cases``,
 #: taken before ``Trace`` validated values in bulk and before the loaders
-#: stopped copying rows.
-JSON_INGEST_DIGEST = "377e5e94f2bc12e36726db21c9a8d4aa21690df5310d21021419ef5e8d713264"
+#: stopped copying rows; the JSON one re-taken when JSON string and boolean
+#: cells began to be refused.
+JSON_INGEST_DIGEST = "5f34067f1ac11e5244a5def56e6c0529c7e601b9dce0cacf668b87bfb06a0f7e"
 CSV_INGEST_DIGEST = "b55d0878602d66aa95cee9f887baaa3ccf7f592d56223af340290244a7e317fe"
 
 
@@ -191,8 +192,23 @@ class TestIngestGolden:
         lines = [f"{text!r}: {load_outcome(trace_from_csv, text)}" for text in csv_ingest_cases()]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CSV_INGEST_DIGEST
 
-    def test_json_booleans_and_numeric_strings_load(self):
-        trace = trace_from_json('{"atoms": ["p", "q"], "states": [[true, "0.5"], [false, -0.0]]}')
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ('[[true, "0.5"], [false, -0.0]]', "truth degree True is not a number"),
+            ('[[0.5, "0.5"]]', "truth degree '0.5' is not a number"),
+            ('[[0.5, false], [0.5]]', "truth degree False is not a number"),
+            ('[[2, "0.5"]]', "truth degree 2.0 outside [0, 1]"),  # the first bad cell
+            ('[[null, true]]', "truth degree None is not a number"),
+        ],
+    )
+    def test_json_booleans_and_numeric_strings_are_refused(self, states, message):
+        with pytest.raises(ValidationError) as exc:
+            trace_from_json(f'{{"atoms": ["p", "q"], "states": {states}}}')
+        assert str(exc.value) == message
+
+    def test_json_negative_zero_loads(self):
+        trace = trace_from_json('{"atoms": ["p", "q"], "states": [[1, 0.5], [0, -0.0]]}')
         assert trace.states == ((1.0, 0.5), (0.0, 0.0))
         assert str(trace.states[1][1]) == "-0.0"
 

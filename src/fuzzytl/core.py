@@ -1,7 +1,8 @@
 """Core domain types: truth degrees, formulas, traces, avoiding functions.
 
 Everything here is immutable after construction and safe to share between
-concurrent readers.
+concurrent readers.  A formula node's hash is the one slot set later: a
+cache filled on first use, with the same value by every reader.
 """
 
 from __future__ import annotations
@@ -65,10 +66,13 @@ class Formula:
     """Base of the abstract syntax tree; the immutable node classes are built
     from the rows of ``OPERATORS``, their fields in ``__match_args__``.
 
-    ``size`` (the expanded tree's node count) and the hash (that of the tuple
-    of fields) are set at construction in O(1).  ``size`` takes no part in
-    ``==``, ``hash`` or ``repr``; ``==``, ``repr`` and pickling walk a stack,
-    not recurse.  ``copy`` and ``deepcopy`` return the node itself."""
+    ``size`` (the expanded tree's node count) is set at construction in O(1).
+    The hash (that of the tuple of fields) is set on first use, as a cache
+    that every reader fills with the same value; hashing a node fills its
+    descendants' too, each distinct node once.  ``size`` takes no part in
+    ``==``, ``hash`` or ``repr``; ``hash``, ``==``, ``repr`` and pickling walk
+    a stack, not recurse, and ``==`` computes no hash.  ``copy`` and
+    ``deepcopy`` return the node itself."""
 
     __slots__ = ("size", "_hash")
 
@@ -79,6 +83,19 @@ class Formula:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # post-order over the nodes without a hash, as in __reduce__
+        stack = [self]
+        while stack:
+            f = stack.pop()
+            if f is None:  # second visit: its children hold their hashes
+                f = stack.pop()
+                _set_hash(f, hash(tuple(map(f.__getattribute__, f.__match_args__))))
+            elif isinstance(f, Formula) and not hasattr(f, "_hash"):
+                stack += (f, None, *OPERATORS[type(f)].get_children(f))
         return self._hash
 
     def __eq__(self, other):
@@ -89,7 +106,7 @@ class Formula:
             a, b = pairs.pop()
             if a is b:
                 continue
-            if type(a) is not type(b) or a._hash != b._hash:
+            if type(a) is not type(b):
                 return False
             for name in a.__match_args__:  # the int or str field comes first
                 x, y = getattr(a, name), getattr(b, name)
@@ -165,7 +182,6 @@ def _unknown(*kids) -> TypeError:
 
 def _init_leaf(self):
     _set_size(self, 1)
-    _set_hash(self, hash(()))
 
 
 def _init_name(self, name):
@@ -173,7 +189,6 @@ def _init_name(self, name):
         raise TypeError(f"atom name must be a str, not {type(name).__name__}")
     _set(self, "name", name)
     _set_size(self, 1)
-    _set_hash(self, hash((name,)))
 
 
 def _init_arg(self, arg):
@@ -182,7 +197,6 @@ def _init_arg(self, arg):
         _set_size(self, arg.size + 1)
     except (AttributeError, TypeError):
         raise _unknown(arg) from None
-    _set_hash(self, hash((arg,)))
 
 
 def _init_bound_arg(self, bound, arg):
@@ -193,7 +207,6 @@ def _init_bound_arg(self, bound, arg):
         _set_size(self, arg.size + 1)
     except (AttributeError, TypeError):
         raise _unknown(arg) from None
-    _set_hash(self, hash((bound, arg)))
 
 
 def _init_index_arg(self, index, arg):
@@ -204,7 +217,6 @@ def _init_index_arg(self, index, arg):
         _set_size(self, arg.size + 1)
     except (AttributeError, TypeError):
         raise _unknown(arg) from None
-    _set_hash(self, hash((index, arg)))
 
 
 def _init_pair(self, left, right):
@@ -214,7 +226,6 @@ def _init_pair(self, left, right):
         _set_size(self, left.size + right.size + 1)
     except (AttributeError, TypeError):
         raise _unknown(left, right) from None
-    _set_hash(self, hash((left, right)))
 
 
 def _init_bound_pair(self, bound, left, right):
@@ -226,7 +237,6 @@ def _init_bound_pair(self, bound, left, right):
         _set_size(self, left.size + right.size + 1)
     except (AttributeError, TypeError):
         raise _unknown(left, right) from None
-    _set_hash(self, hash((bound, left, right)))
 
 
 class Bound:
@@ -416,6 +426,13 @@ class AvoidingFunction:
 _ROW_TYPES = frozenset({tuple, list})
 
 
+class _FloatRows(tuple):
+    """Rows whose every cell a loader has seen to be a float: ``Trace`` takes
+    them without a type scan of its own."""
+
+    __slots__ = ()
+
+
 def _rereadable(row):
     try:
         items = iter(row)
@@ -447,15 +464,18 @@ class Trace:
         for name in atoms:
             if isinstance(name, str) and eta_atom_index(name) is not None:
                 raise ValidationError(f"atom name {name!r} is reserved for an eta constant")
-        rows = tuple(self.states)
-        if not _ROW_TYPES.issuperset(map(type, rows)):
-            rows = tuple(map(_rereadable, rows))
+        rows = self.states
+        floats = type(rows) is _FloatRows
+        if not floats:
+            rows = tuple(rows)
+            if not _ROW_TYPES.issuperset(map(type, rows)):
+                rows = tuple(map(_rereadable, rows))
         # C-level passes: one converts (rows of floats only become tuples),
         # the others bound every value; NaN passes min and max but turns the
         # sum into NaN.
         try:
             values = chain.from_iterable
-            if {float}.issuperset(map(type, values(rows))):
+            if floats or {float}.issuperset(map(type, values(rows))):
                 states = tuple(map(tuple, rows))  # a tuple row is kept as it is
             else:
                 states = tuple(map(tuple, map(map, repeat(float), rows)))

@@ -10,7 +10,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .core import AvoidingFunction, Trace, degree
+from .core import AvoidingFunction, Trace, _FloatRows, degree
 from .errors import ValidationError
 from .parser import _is_atom_name, below_ceiling
 
@@ -23,14 +23,18 @@ def _check_atom_names(atoms) -> tuple[str, ...]:
     return names
 
 
-def _check_cells(states) -> None:
-    """Refuse a JSON string or boolean cell, which ``float`` would read as a
-    number, naming the first bad cell in row-major order as ``Trace`` does.
-    One C-level pass over the cell types finds whether there is one."""
+def _json_rows(states):
+    """The rows for ``Trace``.  Refuse a JSON string or boolean cell, which
+    ``float`` would read as a number, naming the first bad cell in row-major
+    order as ``Trace`` does; rows of floats alone go as ``_FloatRows``.  One
+    C-level pass over the cell types decides both."""
     cells = chain.from_iterable
-    if {str, bool}.isdisjoint(map(type, cells(states))):
-        return
-    for v in cells(states):
+    types = set(map(type, cells(states)))
+    if {float}.issuperset(types):
+        return _FloatRows(states)
+    if {str, bool}.isdisjoint(types):
+        return states
+    for v in cells(states):  # there is a bad cell, so this walk raises
         if type(v) in (str, bool):
             raise ValidationError(f"truth degree {v!r} is not a number")
         degree(v)  # raises for an earlier bad cell of another kind
@@ -76,8 +80,7 @@ def trace_from_json(text: str) -> Trace:
     loop = doc.get("loop")
     if loop is not None and (not isinstance(loop, int) or isinstance(loop, bool)):
         raise ValidationError(f"'loop' must be an integer index, got {loop!r}")
-    _check_cells(states)
-    return Trace(atoms, states, loop)
+    return Trace(atoms, _json_rows(states), loop)
 
 
 @_collector_paused
@@ -102,7 +105,7 @@ def trace_from_csv(text: str) -> Trace:
             rows.append(tuple(map(float, ln.split(","))))
         except ValueError as exc:
             raise ValidationError(f"bad CSV value in row {ln!r}") from exc
-    return Trace(atoms, rows, loop)
+    return Trace(atoms, _FloatRows(rows), loop)  # float() made every cell
 
 
 def load_trace(path: str | Path) -> Trace:

@@ -32,9 +32,11 @@ from fuzzytl.core import (
     node_count,
     with_children,
 )
-from fuzzytl.checks import random_formula
-from fuzzytl.errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
-from fuzzytl.evaluator import _HANDLERS, EvalContext, evaluate
+from fuzzytl.checks import random_eta, random_formula, random_trace
+from fuzzytl.errors import FtlError, NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
+from fuzzytl.evaluator import _HANDLERS, EvalContext, FinitePolicy, evaluate
+from fuzzytl.parser import format_formula, parse
+from fuzzytl.rewrite import lower_to_adequate
 
 
 def test_degree_accepts_unit_interval():
@@ -448,6 +450,115 @@ class TestDeepNodes:
             assert type(h) is Or and h.left is h.right
             h = h.left
         assert h == Atom("p")
+
+
+def or_dag(leaf: Formula, depth: int = 200) -> Formula:
+    """``Or(dag, dag)`` ``depth`` times: 2^depth leaves expanded, depth + 1 distinct nodes."""
+    f = leaf
+    for _ in range(depth):
+        f = Or(f, f)
+    return f
+
+
+class _Hashed:
+    """Stands in a tuple for a node whose hash is already known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _fields_hash(f: Formula) -> int:
+    """hash(tuple of fields), bottom-up over the distinct nodes, each node
+    child as a ``_Hashed`` of its own value: no ``Formula.__hash__`` runs."""
+    done, stack = {}, [f]
+    while stack:
+        node = stack[-1]
+        kids = [k for k in children(node) if id(k) not in done]
+        if kids:
+            stack += kids
+            continue
+        stack.pop()
+        fields = (getattr(node, name) for name in node.__match_args__)
+        done[id(node)] = hash(tuple(_Hashed(done[id(x)]) if isinstance(x, Formula) else x
+                                    for x in fields))
+    return done[id(f)]
+
+
+def _hash_slots(f: Formula) -> set:
+    """Whether each distinct node of ``f`` holds a hash: {True}, {False} or both."""
+    seen, held, stack = set(), set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            held.add(hasattr(node, "_hash"))
+            stack += children(node)
+    return held
+
+
+class TestHashOnDemand:
+    """A node's hash is a cache filled on first use: nothing on the parse,
+    format, evaluate or lowering paths asks for one."""
+
+    def test_no_path_hashes_a_formula(self, monkeypatch):
+        calls = []
+        plain = Formula.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return plain(self)
+
+        monkeypatch.setattr(Formula, "__hash__", counted)
+        rng = random.Random(31)
+        for _ in range(500):
+            eta = random_eta(rng, max_n=4)
+            f = random_formula(rng, depth=rng.randint(1, 6), max_bound=4, n_eta=eta.n_eta)
+            g = parse(format_formula(f))
+            assert g == f
+            interp = rng.choice(list(Interpretation))
+            ctx = EvalContext(random_trace(rng, max_len=6), interp, eta, FinitePolicy.PAD_ZERO)
+            for pos in range(len(ctx.trace)):
+                try:
+                    evaluate(ctx, g, pos)
+                except FtlError:
+                    pass
+            for interp in Interpretation:
+                try:
+                    lower_to_adequate(g, interp, eta=eta)
+                except FtlError:
+                    pass
+        assert calls == []
+        assert hash(f) == plain(f) and calls[0] is f  # the wrapper does count
+
+    @pytest.mark.parametrize("build", [or_dag, until_spine], ids=["or-dag", "until-spine"])
+    def test_first_use_hashes_the_tuple_of_fields(self, build):
+        f = build(Atom("p"))
+        want = _fields_hash(f)
+        assert _hash_slots(f) == {False}
+        assert hash(f) == want and _hash_slots(f) == {True}
+        g = pickle.loads(pickle.dumps(f))  # a pickle carries no hash
+        assert not hasattr(g, "_hash") and hash(g) == want
+
+    @pytest.mark.parametrize("build", [not_chain, until_spine], ids=["not-chain", "until-spine"])
+    def test_eq_computes_no_hash(self, build):
+        f, same, other = build(Atom("p")), build(Atom("p")), build(Atom("r"))
+        assert f == same and f != other and not f == other
+        assert _hash_slots(f) == _hash_slots(same) == _hash_slots(other) == {False}
+
+    def test_an_unhashable_child_is_refused_at_hash(self):
+        class X:
+            size = 1
+            __hash__ = None
+
+        f = Not(X())  # construction reads only the child's int size
+        with pytest.raises(TypeError, match="unhashable type: 'X'"):
+            hash(f)
+        with pytest.raises(TypeError, match="^unknown formula node of class X$"):
+            evaluate(EvalContext(Trace(("p",), ((0.5,),)), Interpretation.ZADEH,
+                                 AvoidingFunction.crisp()), f, 0)
 
 
 class TestNodeClasses:

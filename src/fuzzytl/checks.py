@@ -51,8 +51,8 @@ from .errors import BudgetExceeded
 from .evaluator import (
     EvalContext,
     FinitePolicy,
+    _Columns,
     _run,
-    _span,
     almost_always_fast,
     eval_unbounded_lasso,
     evaluate,
@@ -320,7 +320,8 @@ def _chain_checks(report: SuiteReport, ctx: EvalContext, t: int, tp: int, terms:
     """Every chain law at every position of one context, read from one
     range fill of each term's column over a memo all the terms share."""
     trace, n, loop = ctx.trace, len(ctx.trace), ctx.trace.loop_start
-    cols = _run(ctx, 0, lambda memo: {k: _span(ctx, f, 0, n, memo) for k, f in terms.items()})
+    memo = _Columns(ctx.trace, 0)
+    cols = {k: _run(ctx, f, 0, n, memo) for k, f in terms.items()}
     applies = {"always": True, "lasso": loop is not None, "t>=1": t >= 1}
     laws = [(law, shown, [cols[s.split("=")[-1]] for s in shown.split()], holds)
             for law, guard, shown, holds in _CHAIN_LAWS if applies[guard]]

@@ -101,11 +101,12 @@ class Formula:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(self, other)]
+        pairs, seen = [(self, other)], set()  # pairs already compared, by id
         while pairs:
             a, b = pairs.pop()
-            if a is b:
+            if a is b or (id(a), id(b)) in seen:
                 continue
+            seen.add((id(a), id(b)))
             if type(a) is not type(b):
                 return False
             for name in a.__match_args__:  # the int or str field comes first

@@ -408,9 +408,8 @@ class _Columns(dict):
     evaluated position (past a finite trace, the zero state at len(trace)),
     or the loop start of a lasso if that is lower.
 
-    ``runs`` is False while an evaluation is redone one position at a time
-    (see _run).  ``cut`` turns True once an unbounded operator is read on a
-    finite trace, the one place a value can be inexact (see _exactness).
+    ``cut`` turns True once an unbounded operator is read on a finite trace,
+    the one place a value can be inexact (see _exactness).
 
     Keying by ``id`` means a lookup never hashes a subtree.  That is sound
     because the evaluator never builds formula nodes: every key is a node of
@@ -418,12 +417,11 @@ class _Columns(dict):
     call, so no id is reused while the memo lives.
     """
 
-    __slots__ = ("base", "_first", "runs", "cut")
+    __slots__ = ("base", "_first", "cut")
 
     def __init__(self, trace: Trace, pos: int) -> None:
         self.base = min(pos, len(trace) if trace.loop_start is None else trace.loop_start)
         self._first = min(len(trace) + 1 - self.base, 64)
-        self.runs = True
         self.cut = False
 
     def __missing__(self, key: int):
@@ -436,11 +434,9 @@ def _span(ctx, arg, pos, n, memo):
 
     Each missing run of the column is filled by one handler call, in
     position order.  A span that reaches ``ctx._end`` reads on from
-    ``ctx._wrap``, or raises HorizonExceedsTrace naming the first position
-    past the end once the positions before it are filled; one that starts
-    past the end starts at the position it wraps to, the same suffix.  So
-    the values filled, and the error met first, are those of a
-    position-by-position read.
+    ``ctx._wrap``, or raises HorizonExceedsTrace before it fills anything;
+    one that starts past the end starts at the position it wraps to, the
+    same suffix.
     """
     end, wrap = ctx._end, ctx._wrap
     stop = pos + n
@@ -453,6 +449,8 @@ def _span(ctx, arg, pos, n, memo):
         if values[i] is None:
             values[i : i + 1] = _HANDLERS[type(arg)](ctx, arg, pos, stop, memo)
         return values[i : i + 1]
+    if wrap is None and stop > end:
+        raise HorizonExceedsTrace  # named by _run
     if wrap is not None and pos >= end:
         pos = wrap + (pos - wrap) % (end - wrap)
         stop = pos + n
@@ -473,9 +471,7 @@ def _span(ctx, arg, pos, n, memo):
         missing.append(None)  # a sentinel, so index(None) always finds one
         i = missing.index(None)
         while i < size:
-            if not memo.runs:
-                k = i + 1
-            elif missing.count(None) == size + 1 - i:
+            if missing.count(None) == size + 1 - i:
                 k = size  # the rest of the range is missing
             else:
                 k = next(compress(count(i), map(is_not, missing[i:], repeat(None))))
@@ -485,11 +481,6 @@ def _span(ctx, arg, pos, n, memo):
             i = missing.index(None, k)
     if stop <= end:
         return values[pos - base : stop - base]
-    if wrap is None:
-        raise HorizonExceedsTrace(
-            f"position {max(pos, end)} leaves the {end}-state finite trace "
-            "under the strict policy"
-        )
     cycle = values[wrap - base : end - base]
     m = stop - end  # positions read around the loop, from its start on
     return values[pos - base : end - base] + cycle * (m // len(cycle)) + cycle[: m % len(cycle)]
@@ -696,8 +687,9 @@ _GROWTH = 4
 def _chunks(ctx, arg, pos, width, memo):
     """``arg``'s spans covering pos .. pos+width-1 in growing chunks, for a
     reader that may stop once its value is decided.  With no wrap a window
-    is one chunk: how far it reaches decides HorizonExceedsTrace.  Any other
-    error is met at the first position, which is always read."""
+    is one chunk, so a window that _reads says leaves the trace raises
+    HorizonExceedsTrace; the other errors do not depend on the position,
+    and the first chunk is always read."""
     read, n = 0, width if ctx._wrap is None else _FIRST_CHUNK
     while read < width:
         n = min(n, width - read)
@@ -812,22 +804,13 @@ def _until_window(ctx, f, lo, hi, t, memo, almost):
     still ahead, or, under Zadeh and Godel, once a hold that can only fall
     is at most its best.  Each skipped candidate is at most the value kept,
     which a full max keeps too, as it keeps the first of equal values.
-
-    Redone one position at a time, the missing values inside the trace are
-    computed in the order right(lo), left(lo), right(lo+1), ..., so a window
-    whose children fail at different positions raises the error a
-    step-by-step scan meets first.
+    A window of t = 0 reads no left value.
     """
-    right, left = f.right, f.left
     n = hi - lo
-    if not memo.runs:
-        for p in range(lo, min(lo + t, ctx.trace._length)):
-            _span(ctx, right, p, 1, memo)
-            _span(ctx, left, p, 1, memo)
-    right = _span(ctx, right, lo, n + t, memo)
-    left = _span(ctx, left, lo, n + t - 1, memo)
+    right = _span(ctx, f.right, lo, n + t, memo)
     if t == 0:
-        return right[:n]
+        return right
+    left = _span(ctx, f.left, lo, n + t - 1, memo)
     step = ctx.ops.tnorm
     weights = ctx.eta.table
     min_k = ctx.eta.n_eta if almost else 0
@@ -880,9 +863,7 @@ def _scan(best, ahead, held, step, min_k):
 
 def _h_scale(ctx, f, lo, hi, memo):
     if not 1 <= f.index < ctx.eta.n_eta:
-        raise ScaleIndexOutOfRange(
-            f"scaling index {f.index} outside 1..{ctx.eta.n_eta - 1}"
-        )
+        raise ScaleIndexOutOfRange  # named by _run
     w = ctx.eta.lookup(f.index)
     return [scale(v, w) for v in _span(ctx, f.arg, lo, hi - lo, memo)]
 
@@ -1000,48 +981,46 @@ _HANDLERS = _Handlers({
 
 
 # ---------------------------------------------------------------------------
-# Exactness
+# Read intervals: exactness and errors
 # ---------------------------------------------------------------------------
 
 
-def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
-    """The exactness tag of ``f``'s values at positions a .. b.
+def _reads(ctx: EvalContext, f: Formula, a: int, b: int):
+    """Each (node, a, b, flip, start) that a read of ``f`` at positions
+    a .. b reaches: the node's values are read at positions a .. b, under an
+    odd number of antitone places (the argument of ! and the premise of ->)
+    when ``flip``, by a span that starts at ``start``, which lies before a
+    when the node ends an X chain.  It reads no value and raises no error.
 
-    Only an unbounded operator cut at the last state of a finite trace is
-    inexact, so the tag is the | of what the unbounded operators read from
-    ``f`` add: LowerBound for F, U and AU, UpperBound for G, Approximate for
-    AG, each swapped under an odd number of antitone places (the argument
-    of ! and the premise of ->).  A top-down walk over (node, read interval)
-    pairs follows the handlers: X shifts by one step; F[t], G[t], AG[t] and
-    L[t] read [a, b+t]; S reads [a+1, b+n_eta]; W[t] reads
-    [a, b+t+n_eta-1]; U[t] and AU[t] read their right child on [a, b+t] and
-    their left on [a, b+t-1], nothing when t is 0; an unbounded operator
-    reads its argument or right child on [a, max(b, len-1)] and its left on
-    [a, len-2]; the others read their children on [a, b].  A position past
-    the end is the zero state at len.  The walk reads no value and raises
-    no error: evaluate runs it after the evaluation, and only when that read
-    an unbounded operator on a finite trace.
+    A top-down walk over (node, read interval) pairs, in pre-order with a
+    left child before a right one, follows the handlers: X shifts by one
+    step; F[t], G[t], AG[t] and L[t] read [a, b+t]; S reads [a+1, b+n_eta];
+    W[t] reads [a, b+t+n_eta-1]; U[t] and AU[t] read their right child on
+    [a, b+t] and their left on [a, b+t-1], nothing when t is 0; on a finite
+    trace an unbounded operator reads its argument or right child on
+    [a, max(b, len-1)] and its left on [a, len-2]; the others read their
+    children on [a, b].  A child's interval is reckoned from its parent's
+    cut at len, the zero state past a finite trace; on a lasso only which
+    nodes are read matters.  A node met again with the same cut interval
+    and flip is yielded once, and a child of a class with no handler is
+    skipped: reading it raises TypeError.
     """
-    trace = ctx.trace
-    if trace.is_lasso:
-        return _EXACT
-    end, n_eta = trace._length, ctx.eta.n_eta
-    tag, seen, stack = _EXACT, set(), [(f, a, b, False)]
-    while stack and tag != _APPROX:
+    end, n_eta, lasso = ctx.trace._length, ctx.eta.n_eta, ctx.trace.is_lasso
+    seen, stack = set(), [(f, a, b, False)]
+    while stack:
         f, a, b, flip = stack.pop()
-        spec = OPERATORS[type(f)]
-        while spec.keyword == "X":  # one step per X, as _h_next unwraps them
-            f, a, b = f.arg, a + 1, b + 1
-            spec = OPERATORS[type(f)]
-        a, b = min(a, end), min(b, end)
-        if (id(f), a, b, flip) in seen:
+        start = a
+        while (spec := OPERATORS.get(type(f))) is not None and spec.keyword == "X":
+            f, a, b = f.arg, a + 1, b + 1  # one step per X, as _h_next unwraps them
+        key = (id(f), min(a, end), min(b, end), flip)
+        if spec is None or key in seen:
             continue
-        seen.add((id(f), a, b, flip))
+        seen.add(key)
+        yield f, a, b, flip, start
+        _, a, b, _ = key
         keyword = spec.keyword
         hi = left_hi = b  # the argument or right child reads [a, hi], the left [a, left_hi]
-        if spec.unbounded:
-            added = _TEMPORAL[type(f)][2]
-            tag |= _FLIPPED[added] if flip else added
+        if spec.unbounded and not lasso:
             hi, left_hi = max(b, end - 1), end - 2
         elif spec.param == "bound":  # F[t], G[t], AG[t], L[t], W[t], U[t] or AU[t]
             hi += f.bound + (n_eta - 1 if keyword == "W" else 0)
@@ -1054,6 +1033,27 @@ def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
                 stack.append((f.left, a, left_hi, flip != (keyword == "->")))
         elif spec.children:
             stack.append((f.arg, a, hi, flip != (keyword == "!")))
+
+
+def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
+    """The exactness tag of ``f``'s values at positions a .. b.
+
+    Only an unbounded operator cut at the last state of a finite trace is
+    inexact, so the tag is the | of what the unbounded operators that
+    _reads reaches add: LowerBound for F, U and AU, UpperBound for G,
+    Approximate for AG, each swapped when flipped.  evaluate runs it after
+    the evaluation, and only when that read an unbounded operator on a
+    finite trace.
+    """
+    if ctx.trace.is_lasso:
+        return _EXACT
+    tag = _EXACT
+    for g, _, _, flip, _ in _reads(ctx, f, a, b):
+        row = _TEMPORAL.get(type(g))
+        if row and row[2]:  # an unbounded operator
+            tag |= _FLIPPED[row[2]] if flip else row[2]
+            if tag == _APPROX:
+                break
     return tag
 
 
@@ -1062,25 +1062,39 @@ def _exactness(ctx: EvalContext, f: Formula, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run(ctx: EvalContext, pos: int, read):
-    """``read(memo)`` over a fresh memo, filling columns a run at a time.
+def _run(ctx: EvalContext, f: Formula, pos: int, n: int, memo: _Columns) -> list:
+    """The values of ``f`` at positions pos .. pos+n-1, read over ``memo``.
 
-    If that raises an FtlError, it is redone one position at a time on the
-    values already computed, so the error raised is the one a position-by-
-    position evaluation meets first.  Redoing the whole read costs at most
-    one more pass; a window that redid only its own failed run would redo
-    its children's failed runs too, doubling the work at every level of
-    nesting.  A RecursionError becomes FormulaTooDeep.
+    A read that raises an FtlError raises in its place the error that the
+    reads _reads reaches from ``f`` name, so it does not depend on the
+    order the reads are made in: of the reads that fail, the first in walk
+    order of the first class in the order ScaleIndexOutOfRange (an O[j]
+    with j outside 1 .. n_eta-1), UnknownAtom (an atom the trace does not
+    declare), HorizonExceedsTrace (a read past the end of a finite trace
+    under the strict policy).  The last names the first position past the
+    end that the failing span reads: where its X chain's read starts, if
+    that is past the end, else the later of where its own read starts and
+    the end.  A RecursionError becomes FormulaTooDeep.
     """
-    memo = _Columns(ctx.trace, pos)
     try:
-        try:
-            return read(memo)
-        except FtlError:
-            memo.runs = False
-            return read(memo)
+        return _span(ctx, f, pos, n, memo)
+    except FtlError as exc:
+        error = exc
     except RecursionError:
         raise FormulaTooDeep("formula nests too deeply to evaluate") from None
+    reads, end = list(_reads(ctx, f, pos, pos + n - 1)), ctx._end
+    for g, _, _, _, _ in reads:
+        if OPERATORS[type(g)].keyword == "O" and not 1 <= g.index < ctx.eta.n_eta:
+            raise ScaleIndexOutOfRange(f"scaling index {g.index} outside 1..{ctx.eta.n_eta - 1}")
+    for g, _, _, _, _ in reads:
+        if OPERATORS[type(g)].keyword is None and eta_atom_index(g.name) is None:
+            ctx.trace.at(0, g.name)  # raises UnknownAtom if the trace lacks the atom
+    for _, a, b, _, start in reads:
+        if ctx._wrap is None and b >= end:
+            past = start if start >= end else max(a, end)
+            raise HorizonExceedsTrace(f"position {past} leaves the {end}-state finite trace "
+                                      "under the strict policy")
+    raise error  # not reached: evaluation fails only where the walk finds a failing read
 
 
 def _integer(x, what: str) -> int:
@@ -1109,8 +1123,9 @@ def evaluate(ctx: EvalContext, f: Formula, pos: int = 0) -> EvalResult:
     pos = _position(ctx, pos)
     if type(f) not in _HANDLERS:
         raise TypeError(f"unknown formula node {f!r}")
-    (value,), cut = _run(ctx, pos, lambda memo: (_span(ctx, f, pos, 1, memo), memo.cut))
-    return EvalResult(value, _EXACTNESS[_exactness(ctx, f, pos, pos) if cut else _EXACT])
+    memo = _Columns(ctx.trace, pos)
+    (value,) = _run(ctx, f, pos, 1, memo)
+    return EvalResult(value, _EXACTNESS[_exactness(ctx, f, pos, pos) if memo.cut else _EXACT])
 
 
 def almost_always_fast(
@@ -1133,7 +1148,7 @@ def almost_always_fast(
         raise ValidationError(f"negative window {t}")
     if type(phi) not in _HANDLERS:
         raise TypeError(f"unknown formula node {phi!r}")
-    values = _run(ctx, pos, lambda memo: _span(ctx, phi, pos, t + 1, memo))
+    values = _run(ctx, phi, pos, t + 1, _Columns(ctx.trace, pos))
     keep = min(t, ctx.eta.n_eta - 1) + 1
     kept = _select_smallest(values, keep, counter)
     if counter is not None:

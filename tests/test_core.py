@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+import time
 
 import pytest
 
@@ -547,6 +548,16 @@ class TestHashOnDemand:
         f, same, other = build(Atom("p")), build(Atom("p")), build(Atom("r"))
         assert f == same and f != other and not f == other
         assert _hash_slots(f) == _hash_slots(same) == _hash_slots(other) == {False}
+
+    def test_eq_compares_each_pair_of_distinct_nodes_once(self):
+        # 2^22 leaves a side when expanded, 23 distinct nodes: a walk over
+        # the expanded trees takes seconds.  The walk pops a right child
+        # first, so the leaves that differ are compared last.
+        f, same = or_dag(Atom("p"), 22), or_dag(Atom("p"), 22)
+        start = time.perf_counter()
+        assert f == same
+        assert Or(Atom("r"), f) != Or(Atom("s"), same)
+        assert time.perf_counter() - start < 0.5
 
     def test_an_unhashable_child_is_refused_at_hash(self):
         class X:

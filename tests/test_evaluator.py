@@ -154,8 +154,9 @@ class TestFinitePolicies:
 
     @pytest.mark.parametrize("op", ["U", "AU"])
     def test_until_reports_the_first_step_that_leaves(self, op):
-        # the steps read right(0), left(0), right(1), ...: left(0) already
-        # reads position 7, before the right child reaches position 4
+        # the read walk meets the left child before the right one: its
+        # X chain reads p from position 7, while the right child's read
+        # leaves the trace at position 4
         with pytest.raises(HorizonExceedsTrace, match="position 7 "):
             evaluate(ctx_for(WORKED), parse(f"(X[7] p) {op}[6] p"))
 
@@ -493,6 +494,12 @@ class TestStartPositions:
         for f in (Not(X()), And(Atom("p"), X()), EventuallyB(2, X()), Until(X(), Atom("p"))):
             with pytest.raises(TypeError, match="^unknown formula node of class X$"):
                 evaluate(ctx, f)
+        # an FtlError read first is named by the read walk, which skips X;
+        # a TypeError read first is raised as it is
+        with pytest.raises(UnknownAtom, match="^atom 'zz' not in trace"):
+            evaluate(ctx, And(Atom("zz"), X()))
+        with pytest.raises(TypeError, match="^unknown formula node of class X$"):
+            evaluate(ctx, And(X(), Atom("zz")))
         with pytest.raises(TypeError, match="^unknown formula node of class X$"):
             almost_always_fast(ctx, Not(X()), 0, 1)
 
@@ -733,13 +740,18 @@ def golden_outcomes(n_formulas=150, n=9, seed=8):
 #: sha256 of ``golden_outcomes()``, taken when every window was evaluated one
 #: position at a time, then re-taken when lasso U and AU became the bounded
 #: window over their horizon: the Lukasiewicz ``q U q`` at lasso positions 4
-#: and 10 moved up to the full scan's value.
-GOLDEN_DIGEST = "b78fa724e43bc46449c3ef1e04345db5bff038068dc83138e7107adad1d80118"
+#: and 10 moved up to the full scan's value.  Re-taken when the read walk
+#: began to name errors: 8 error lines, each with reads of two classes that
+#: fail, moved from HorizonExceedsTrace to ScaleIndexOutOfRange
+#: (``X p & (O[3] p & X p)`` and ``X false -> O[3] true`` at position 8 of
+#: the strict 9-state trace).
+GOLDEN_DIGEST = "349657a01edd105e6b1cf8df6087f559fdcf516e60c01543d765deb95dc36502"
 
 
 class TestRangeFills:
-    """Filling a column a run at a time gives the values, exactness tags and
-    first errors of evaluating it one position at a time."""
+    """Filling a column a run at a time gives the values and exactness tags
+    of evaluating it one position at a time, and the error the read walk
+    names."""
 
     def test_golden_outcomes(self):
         lines = golden_outcomes()
@@ -750,17 +762,21 @@ class TestRangeFills:
     @pytest.mark.parametrize(
         "text, outcomes",
         [
-            ("G[3] ((X[7] p) U[6] p)", [10, 10, 10, 10, 11, 12, 13, 14, 15, 16]),
+            ("G[3] ((X[7] p) U[6] p)", [10, 10, 10, 10, 11, 12, 13, 10, 10, 10]),
             (
                 "G[5] ((X[1] p) && (X[3] q))",
-                [0.1, 0.09999999999999998, 10, 10, 10, 10, 10, 10, 11, 10],
+                [0.1, 0.09999999999999998, 10, 10, 10, 10, 10, 10, 10, 10],
             ),
-            ("F[2] ((X[4] p) AU[3] q)", [1.0, 0.9, 10, 10, 10, 10, 10, 11, 12, 13]),
+            ("F[2] ((X[4] p) AU[3] q)", [1.0, 0.9, 10, 10, 10, 10, 10, 11, 10, 10]),
         ],
     )
-    def test_strict_policy_names_the_first_position_a_step_by_step_read_leaves(
+    def test_strict_policy_names_the_first_read_past_the_end_in_walk_order(
         self, text, outcomes
     ):
+        # from position 7 of G[3], 5 of G[5] and 8 of F[2] on, the outer
+        # window's own read leaves the trace and comes first in the walk, so
+        # it names the end, 10; before that, an until's left child, through
+        # its X chain, comes before its right child
         ctx = ctx_for(self.PQ, eta=AvoidingFunction((1.0, 0.5)))
         f = parse(text)
         for pos, want in enumerate(outcomes):
@@ -965,7 +981,8 @@ def test_a_decided_point_fold_reads_one_first_chunk(trace):
     else:
         ctx = ctx_for(Trace(("q",), rows), L, policy=FinitePolicy.PAD_ZERO)
     f = parse("G[150] (q & F q)" if trace.endswith("child") else "G[150] (AG[3] q)")
-    memo = evaluator._run(ctx, 0, lambda memo: (evaluator._span(ctx, f, 0, 1, memo), memo)[1])
+    memo = evaluator._Columns(ctx.trace, 0)
+    evaluator._run(ctx, f, 0, 1, memo)
     assert memo[id(f)][0] == 0.0
     filled = [v is not None for v in memo[id(f.arg)]]
     assert filled == [True] * 16 + [False] * (len(filled) - 16)
@@ -1488,8 +1505,8 @@ def test_bounded_almost_always_matches_the_full_refold(interp, t):
 
 def _range_values(ctx, f, pos, n):
     """The values of ``f`` at positions pos .. pos+n-1, from one range fill
-    that raises the error a position-by-position read meets first."""
-    return evaluator._run(ctx, pos, lambda memo: evaluator._span(ctx, f, pos, n, memo))
+    that raises the error the walk over its reads names."""
+    return evaluator._run(ctx, f, pos, n, evaluator._Columns(ctx.trace, pos))
 
 
 def _range_read(ctx, f, pos, n):
@@ -1605,7 +1622,11 @@ def point_fold_outcomes():
 #: sha256 of the ``evaluate`` lines of ``point_fold_outcomes()``, taken when
 #: every point F/G read its child's whole window, and re-taken when pad-zero
 #: began to read an unknown atom past the end as UnknownAtom rather than 0.0.
-POINT_FOLD_DIGEST = "3e3a15434ef67482a64e1554e85e0720e204a0aff832dd521e70bb3aa4b68410"
+#: Re-taken when the read walk began to name errors: 84 strict error lines
+#: of ``F[64] (X[1000] zz)`` and ``G[700] (X[400] zz)``, whose windows leave
+#: the trace and read the undeclared zz, moved from HorizonExceedsTrace to
+#: UnknownAtom.
+POINT_FOLD_DIGEST = "7e0dea9d2eb8ae4c29e548cead00122cba09446c0d96260c8280d8d0005dff9d"
 
 
 def test_point_folds_match_the_full_read():
@@ -1647,6 +1668,65 @@ def test_pad_zero_is_the_zero_state_lasso():
                 assert _outcome(padded, f, pos) == _outcome(looped, f, pos), (f, rows, interp, pos)
                 checked += 1
     assert checked > 40000
+
+
+def _named_error(ctx, f, a, b):
+    """(class, message) of the error the rule names for reading ``f`` at
+    positions a .. b, or None: over evaluator._reads' walk, the first node
+    of the first class in the order ScaleIndexOutOfRange, UnknownAtom,
+    HorizonExceedsTrace; a read past the end of a strict finite trace names
+    where its X chain's read starts if that is past the end, else the later
+    of where its own read starts and the end."""
+    trace, n_eta, end = ctx.trace, ctx.eta.n_eta, len(ctx.trace)
+    strict = trace.loop_start is None and ctx.finite_policy is FinitePolicy.STRICT
+    first = {}
+    for g, ga, gb, _, start in evaluator._reads(ctx, f, a, b):
+        if type(g) is Scale and not 1 <= g.index < n_eta:
+            first.setdefault(ScaleIndexOutOfRange, f"scaling index {g.index} outside 1..{n_eta - 1}")
+        if type(g) is Atom and g.name not in trace.atoms:
+            first.setdefault(UnknownAtom, f"atom {g.name!r} not in trace (atoms: p, q)")
+        if strict and gb >= end:
+            past = start if start >= end else max(ga, end)
+            first.setdefault(
+                HorizonExceedsTrace,
+                f"position {past} leaves the {end}-state finite trace under the strict policy",
+            )
+    for cls in (ScaleIndexOutOfRange, UnknownAtom, HorizonExceedsTrace):
+        if cls in first:
+            return cls, first[cls]
+    return None
+
+
+def test_the_error_raised_is_the_one_the_read_walk_names():
+    """An ill-formed read raises exactly when the walk over its read
+    intervals reaches an offending node, and raises the class and message
+    the fixed order names, for point reads (evaluate) and range fills alike.
+    The traces are strict, pad-zero and lasso; the formulas read p, q and
+    the undeclared zz, and may scale by an index the 3-entry table lacks,
+    so all three classes compete."""
+    rng = random.Random(32)
+    policies = (FinitePolicy.STRICT, FinitePolicy.PAD_ZERO, None)  # None: a lasso
+    outcomes, raised = 0, set()
+    for i in range(3000):
+        n = rng.randint(1, 6)
+        rows = tuple((rng.random(), rng.random()) for _ in range(n))
+        policy = policies[i % 3]
+        trace = Trace(("p", "q"), rows, None if policy else rng.randrange(n))
+        f = random_formula(rng, ("p", "q", "zz"), depth=rng.randint(1, 4), n_eta=4)
+        ctx = ctx_for(trace, rng.choice((Z, G, L, P)), ETA_3, policy or FinitePolicy.STRICT)
+        for pos in range(n + 2):
+            for a, b in ((pos, pos), (pos, pos + rng.randint(1, 3))):  # a point read, a range fill
+                if b == a and policy is FinitePolicy.STRICT and a >= n:
+                    continue  # PositionOutOfRange, before any read
+                try:
+                    evaluate(ctx, f, a) if b == a else _range_values(ctx, f, a, b - a + 1)
+                    got = None
+                except FtlError as exc:
+                    got = type(exc), str(exc)
+                    raised.add(type(exc))
+                assert got == _named_error(ctx, f, a, b), (f, rows, trace.loop_start, ctx.interp, a, b)
+                outcomes += 1
+    assert outcomes >= 30000 and len(raised) == 3, (outcomes, raised)
 
 
 def _full_limit_line(ctx, f, pos):
@@ -1869,6 +1949,21 @@ def test_every_until_reads_both_children(interp, text, error):
     if isinstance(f, (Until, AlmostUntil)):
         with pytest.raises(error):
             eval_unbounded_lasso(ctx, f, 0)
+
+
+def test_an_until_of_window_zero_reads_no_left_value():
+    """U[0] and AU[0] are their right child, so a range fill reads no left
+    value: not the undeclared zz, and not a W[0] q whose window would leave
+    a strict 3-state trace at every position."""
+    trace = Trace(("q",), tuple((i / 8,) for i in range(8)))
+    for op in ("U", "AU"):
+        f = parse(f"G[3] (zz {op}[0] q)")
+        memo = evaluator._Columns(trace, 0)
+        assert evaluator._run(ctx_for(trace), f, 0, 4, memo) == [0.0, 0.125, 0.25, 0.375]
+        assert id(f.arg.left) not in memo
+    f = parse("(p -> true) && W[0] q AU[0] F[0] q")
+    ctx = ctx_for(Trace(("p", "q"), ((0.3, 0.7), (0.9, 0.2), (0.6, 0.45))))
+    assert _range_column(ctx, f, 3) == [evaluate(ctx, f, pos).value for pos in range(3)]
 
 
 class TestFormulaTooDeep:

@@ -6,23 +6,23 @@ implication.  Everything is a pure function on floats in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
-from .core import Interpretation, TruthDegree
+from .core import Interpretation, TruthDegree, _Frozen
 
 BinOp = Callable[[TruthDegree, TruthDegree], TruthDegree]
 
 
-@dataclass(frozen=True)
-class ConnectiveOps:
+class ConnectiveOps(_Frozen):
     """The operation tuple (negation, t-norm, t-conorm, implication)."""
 
-    neg: Callable[[TruthDegree], TruthDegree]
-    tnorm: BinOp
-    tconorm: BinOp
-    implies: BinOp
+    __slots__ = __match_args__ = ("neg", "tnorm", "tconorm", "implies")
+
+    def __init__(
+        self, neg: Callable[[TruthDegree], TruthDegree], tnorm: BinOp, tconorm: BinOp, implies: BinOp
+    ) -> None:
+        self._fill(neg, tnorm, tconorm, implies)
 
 
 def _involutive_neg(a: float) -> float:

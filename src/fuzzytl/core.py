@@ -8,13 +8,66 @@ cache filled on first use, with the same value by every reader.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
+
+class _Frozen:
+    """Base of the immutable classes: the formula nodes and the value classes.
+
+    A value class lists its constructor fields in ``__match_args__``; ``==``
+    (between instances of one class), ``hash`` and ``repr`` read them, less
+    ``_unshown`` in ``repr``, as a frozen dataclass's would.  Pickling and
+    copying carry every slot.  ``__init__`` writes past the refusing
+    ``__setattr__`` with ``object.__setattr__``.  Defined before ``errors``
+    is imported: ``errors.SourceSpan`` builds on it.
+    """
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    # dataclasses is imported only to raise: `fuzzytl eval` never needs it
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+                 if name not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setstate__(self, state: tuple) -> None:
+        self._fill(*state)
+
+
+from .errors import NotALasso, PositionOutOfRange, UnknownAtom, ValidationError  # noqa: E402
 
 #: A truth degree is a plain float in [0, 1].
 TruthDegree = float
@@ -62,7 +115,7 @@ class Interpretation(Enum):
 # ---------------------------------------------------------------------------
 
 
-class Formula:
+class Formula(_Frozen):
     """Base of the abstract syntax tree; the immutable node classes are built
     from the rows of ``OPERATORS``, their fields in ``__match_args__``.
 
@@ -75,12 +128,6 @@ class Formula:
     ``deepcopy`` return the node itself."""
 
     __slots__ = ("size", "_hash")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
         try:
@@ -258,18 +305,26 @@ class Level:
     IMPLIES, OR, AND, UNTIL, UNARY, LEAF = range(6)
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(_Frozen):
     """One row of the operator table, with its node class."""
 
-    cls: type
-    keyword: Optional[str]  # None for atoms, whose text is their name
-    level: int  # a Level
-    bound: str  # a Bound
-    twin: Optional[type]  # the bounded <-> unbounded counterpart
-    children: tuple[str, ...]  # the Formula fields, in order
-    param: Optional[str]  # the int field, "bound" or "index"; always the first
-    get_children: Callable[[Formula], tuple[Formula, ...]] = field(repr=False)
+    __slots__ = __match_args__ = (
+        "cls", "keyword", "level", "bound", "twin", "children", "param", "get_children"
+    )
+    _unshown = ("get_children",)
+
+    def __init__(
+        self,
+        cls: type,
+        keyword: Optional[str],  # None for atoms, whose text is their name
+        level: int,  # a Level
+        bound: str,  # a Bound
+        twin: Optional[type],  # the bounded <-> unbounded counterpart
+        children: tuple[str, ...],  # the Formula fields, in order
+        param: Optional[str],  # the int field, "bound" or "index"; always the first
+        get_children: Callable[[Formula], tuple[Formula, ...]],
+    ) -> None:
+        self._fill(cls, keyword, level, bound, twin, children, param, get_children)
 
     @property
     def unbounded(self) -> bool:
@@ -366,19 +421,17 @@ def node_count(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AvoidingFunction:
+class AvoidingFunction(_Frozen):
     """Penalty table [eta(0), ..., eta(n_eta - 1)]; zero from n_eta onward.
 
     The stored table is the nonzero prefix: eta(0) = 1, strictly decreasing,
     every stored entry positive.
     """
 
-    table: tuple[TruthDegree, ...]
+    __slots__ = __match_args__ = ("table",)
 
-    def __post_init__(self) -> None:
-        table = tuple(degree(v) for v in self.table)
-        object.__setattr__(self, "table", table)
+    def __init__(self, table: tuple[TruthDegree, ...]) -> None:
+        table = tuple(degree(v) for v in table)
         if not table:
             raise ValidationError("avoiding function table must be nonempty")
         if table[0] != 1.0:
@@ -391,6 +444,7 @@ class AvoidingFunction:
                 )
         if table[-1] <= 0.0:
             raise ValidationError("stored avoiding table holds the nonzero prefix only")
+        self._fill(table)
 
     @property
     def n_eta(self) -> int:
@@ -423,27 +477,56 @@ class AvoidingFunction:
 
 
 #: Row containers that can be read twice; other rows are copied first so that
-#: the error path of ``Trace`` can read them again.
+#: a chunk's error walk can read them again.
 _ROW_TYPES = frozenset({tuple, list})
 
-
-class _FloatRows(tuple):
-    """Rows whose every cell a loader has seen to be a float: ``Trace`` takes
-    them without a type scan of its own."""
-
-    __slots__ = ()
+#: Rows a ``Trace`` checks at a time.  A chunk's flat copy of its cells stays
+#: small, and no flat copy of a whole trace is ever made.
+_CHUNK = 2048
 
 
 def _rereadable(row):
     try:
         items = iter(row)
     except TypeError:
-        return row  # not iterable: the conversion fails on it in row order
+        return row  # not iterable: the checks fail on it in row order
     return tuple(items) if items is row else row
 
 
-@dataclass(frozen=True)
-class Trace:
+def _cell_degree(value, refused: tuple) -> TruthDegree:
+    if type(value) in refused:
+        raise ValidationError(f"truth degree {value!r} is not a number")
+    return degree(value)
+
+
+def _checked_rows(chunk, refused: tuple) -> list:
+    """The rows of ``chunk`` as tuples of checked truth degrees.
+
+    C-level passes over one flat copy of the chunk's cells: the type set
+    says whether any cell needs ``float``, and NaN passes ``min`` and
+    ``max`` but turns the sum into NaN.  When a pass finds a bad cell or
+    fails, a walk names the first bad cell in row-major order: a cell of a
+    type in ``refused`` is not a number, and ``degree()`` names the others.
+    """
+    if not _ROW_TYPES.issuperset(map(type, chunk)):
+        chunk = list(map(_rereadable, chunk))
+    try:
+        cells = list(chain.from_iterable(chunk))
+        types = set(map(type, cells))
+        if types.isdisjoint(refused):
+            rows = chunk
+            if not {float}.issuperset(types):
+                rows = list(map(tuple, map(map, repeat(float), chunk)))
+                cells = list(chain.from_iterable(rows))
+            total = sum(cells)
+            if not cells or (total == total and min(cells) >= 0.0 and max(cells) <= 1.0):
+                return list(map(tuple, rows))  # a tuple row is kept as it is
+    except (TypeError, ValueError, OverflowError):
+        pass  # whatever float() raised, degree() raises again below
+    return [tuple(_cell_degree(v, refused) for v in row) for row in chunk]
+
+
+class Trace(_Frozen):
     """A finite or lasso-shaped linear time structure.
 
     ``states[i][k]`` is the degree of ``atoms[k]`` at instant ``i``.  When
@@ -451,45 +534,30 @@ class Trace:
     ``states[:loop_start] + cycle(states[loop_start:])``.
     """
 
-    atoms: tuple[str, ...]
-    states: tuple[tuple[TruthDegree, ...], ...]
-    loop_start: Optional[int] = None
-    _index: dict = field(init=False, compare=False, repr=False)
-    _length: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("atoms", "states", "loop_start", "_index", "_length")
+    __match_args__ = ("atoms", "states", "loop_start")
 
-    def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(
+        self,
+        atoms: tuple[str, ...],
+        states: tuple[tuple[TruthDegree, ...], ...],
+        loop_start: Optional[int] = None,
+    ) -> None:
+        self._build(atoms, states, loop_start, ())
+
+    def _build(self, atoms, states, loop_start, refused: tuple) -> None:
+        """``__init__``, refusing cells of the types in ``refused``: a JSON
+        load refuses str and bool, which ``float`` would read as numbers."""
+        atoms = tuple(atoms)
         if len(set(atoms)) != len(atoms):
             raise ValidationError("duplicate atom names in trace")
         for name in atoms:
             if isinstance(name, str) and eta_atom_index(name) is not None:
                 raise ValidationError(f"atom name {name!r} is reserved for an eta constant")
-        rows = self.states
-        floats = type(rows) is _FloatRows
-        if not floats:
-            rows = tuple(rows)
-            if not _ROW_TYPES.issuperset(map(type, rows)):
-                rows = tuple(map(_rereadable, rows))
-        # C-level passes: one converts (rows of floats only become tuples),
-        # the others bound every value; NaN passes min and max but turns the
-        # sum into NaN.
-        try:
-            values = chain.from_iterable
-            if floats or {float}.issuperset(map(type, values(rows))):
-                states = tuple(map(tuple, rows))  # a tuple row is kept as it is
-            else:
-                states = tuple(map(tuple, map(map, repeat(float), rows)))
-            total = sum(values(states))
-            valid = total == total and min(values(states)) >= 0.0 and max(values(states)) <= 1.0
-        except (TypeError, ValueError, OverflowError):
-            # whatever float() raised, degree() raises again below, in row
-            # order; min() of a trace without values lands here too
-            valid = False
-        if not valid:
-            # degree() names the first bad value in row-major order
-            states = tuple(tuple(degree(v) for v in row) for row in rows)
-        object.__setattr__(self, "states", states)
+        rows = states if type(states) in _ROW_TYPES else tuple(states)
+        # every chunk's cells are checked before any row's length
+        chunks = (_checked_rows(rows[i:i + _CHUNK], refused) for i in range(0, len(rows), _CHUNK))
+        states = tuple(chain.from_iterable(chunks))
         if not states:
             raise ValidationError("trace must have at least one state")
         if set(map(len, states)) != {len(atoms)}:
@@ -498,14 +566,14 @@ class Trace:
                     raise ValidationError(
                         f"state {i} has {len(row)} entries for {len(atoms)} atoms"
                     )
-        if self.loop_start is not None:
-            loop = self.loop_start
+        loop = loop_start
+        if loop is not None:
             if not isinstance(loop, int) or isinstance(loop, bool) or not 0 <= loop < len(states):
                 raise ValidationError(
                     f"loop start {loop!r} outside 0..{len(states) - 1}"
                 )
-        object.__setattr__(self, "_index", {name: k for k, name in enumerate(atoms)})
-        object.__setattr__(self, "_length", len(states))
+        self._fill(atoms, states, loop_start, {name: k for k, name in enumerate(atoms)},
+                   len(states))
 
     @property
     def is_lasso(self) -> bool:

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import _Frozen
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Frozen):
     """Half-open byte range into the parsed text."""
 
-    start: int
-    end: int
+    __slots__ = __match_args__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start > self.end:
-            raise ValueError(f"bad span {self.start}..{self.end}")
+    def __init__(self, start: int, end: int) -> None:
+        if start < 0 or start > end:
+            raise ValueError(f"bad span {start}..{end}")
+        self._fill(start, end)
 
     def __iter__(self):
         return iter((self.start, self.end))

@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, gt, index, is_not, itemgetter, lt, mul, ne
 from typing import Optional
 
 from . import algebra
-from .algebra import ConnectiveOps, scale
+from .algebra import scale
 from .core import (
     OPERATORS,
     AvoidingFunction,
@@ -34,6 +33,8 @@ from .core import (
     Level,
     TruthDegree,
     Trace,
+    _Frozen,
+    _set,
     eta_atom_index,
 )
 from .errors import (
@@ -118,52 +119,53 @@ _BINARY = {
 }
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(_Frozen):
     """Everything one evaluation needs; immutable, shareable.
 
     A ``trace`` or ``eta`` of another class raises TypeError, and an
     ``interp`` or ``finite_policy`` that is not a member of its enum raises
     ValidationError; a subclass is refused too, so each field costs one test.
 
-    ``_end`` and ``_wrap`` are where reads end and where a read past the end
-    wraps to, or None where it raises: a lasso wraps to its loop start, and
-    a finite trace under the pad-zero policy ends one position later, at the
+    ``ops`` is the interpretation's ``algebra.ConnectiveOps``.  ``_end``
+    and ``_wrap`` are where reads end and where a read past the end wraps
+    to, or None where it raises: a lasso wraps to its loop start, and a
+    finite trace under the pad-zero policy ends one position later, at the
     zero state at len(trace), which loops on itself.  The states are not
     copied: _h_atom reads the zero state as 0.0.
     """
 
-    trace: Trace
-    interp: Interpretation
-    eta: AvoidingFunction
-    finite_policy: FinitePolicy = FinitePolicy.STRICT
-    ops: ConnectiveOps = field(init=False, compare=False, repr=False)
-    _binary: dict = field(init=False, compare=False, repr=False)
-    _end: int = field(init=False, compare=False, repr=False)
-    _wrap: Optional[int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("trace", "interp", "eta", "finite_policy", "ops", "_binary", "_end", "_wrap")
+    __match_args__ = ("trace", "interp", "eta", "finite_policy")
 
-    def __post_init__(self) -> None:
-        if type(self.trace) is not Trace:
-            raise TypeError(f"trace must be a Trace, not {type(self.trace).__name__}")
-        if type(self.eta) is not AvoidingFunction:
-            raise TypeError(f"eta must be an AvoidingFunction, not {type(self.eta).__name__}")
-        if type(self.interp) is not Interpretation:
-            raise ValidationError(f"interpretation {self.interp!r} is not an Interpretation")
-        if type(self.finite_policy) is not FinitePolicy:
-            raise ValidationError(f"finite policy {self.finite_policy!r} is not a FinitePolicy")
-        end, wrap = self.trace._length, self.trace.loop_start
-        if wrap is None and self.finite_policy is FinitePolicy.PAD_ZERO:
+    def __init__(
+        self,
+        trace: Trace,
+        interp: Interpretation,
+        eta: AvoidingFunction,
+        finite_policy: FinitePolicy = FinitePolicy.STRICT,
+    ) -> None:
+        if type(trace) is not Trace:
+            raise TypeError(f"trace must be a Trace, not {type(trace).__name__}")
+        if type(eta) is not AvoidingFunction:
+            raise TypeError(f"eta must be an AvoidingFunction, not {type(eta).__name__}")
+        if type(interp) is not Interpretation:
+            raise ValidationError(f"interpretation {interp!r} is not an Interpretation")
+        if type(finite_policy) is not FinitePolicy:
+            raise ValidationError(f"finite policy {finite_policy!r} is not a FinitePolicy")
+        end, wrap = trace._length, trace.loop_start
+        if wrap is None and finite_policy is FinitePolicy.PAD_ZERO:
             end, wrap = end + 1, end
-        object.__setattr__(self, "ops", algebra.ops_for(self.interp))
-        object.__setattr__(self, "_binary", _BINARY[self.interp])
-        object.__setattr__(self, "_end", end)
-        object.__setattr__(self, "_wrap", wrap)
+        self._fill(trace, interp, eta, finite_policy, algebra.ops_for(interp), _BINARY[interp],
+                   end, wrap)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: TruthDegree
-    exactness: Exactness
+class EvalResult(_Frozen):
+    __slots__ = __match_args__ = ("value", "exactness")
+
+    def __init__(self, value: TruthDegree, exactness: Exactness) -> None:
+        # one per evaluate call: two writes cost half of _fill's loop
+        _set(self, "value", value)
+        _set(self, "exactness", exactness)
 
 
 class ComparisonCounter:

@@ -6,11 +6,11 @@ import functools
 import gc
 import json
 import re
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
-from .core import AvoidingFunction, Trace, _FloatRows, degree
+from .core import _CHUNK, AvoidingFunction, Trace
 from .errors import ValidationError
 from .parser import _is_atom_name, below_ceiling
 
@@ -23,21 +23,27 @@ def _check_atom_names(atoms) -> tuple[str, ...]:
     return names
 
 
-def _json_rows(states):
-    """The rows for ``Trace``.  Refuse a JSON string or boolean cell, which
-    ``float`` would read as a number, naming the first bad cell in row-major
-    order as ``Trace`` does; rows of floats alone go as ``_FloatRows``.  One
-    C-level pass over the cell types decides both."""
-    cells = chain.from_iterable
-    types = set(map(type, cells(states)))
-    if {float}.issuperset(types):
-        return _FloatRows(states)
-    if {str, bool}.isdisjoint(types):
-        return states
-    for v in cells(states):  # there is a bad cell, so this walk raises
-        if type(v) in (str, bool):
-            raise ValidationError(f"truth degree {v!r} is not a number")
-        degree(v)  # raises for an earlier bad cell of another kind
+def _csv_rows(lines, width: int):
+    """The rows of CSV ``lines``, a chunk at a time.  A chunk whose every
+    line holds ``width - 1`` commas is one ``float`` map over its joined
+    cells, cut into rows by ``zip``; otherwise, or if a cell is not a
+    number, the chunk goes line by line, which names the first bad row."""
+    for i in range(0, len(lines), _CHUNK):
+        chunk = lines[i:i + _CHUNK]
+        if set(map(str.count, chunk, repeat(","))) == {width - 1}:
+            try:
+                # float() ignores the whitespace around a cell
+                cells = iter(list(map(float, ",".join(chunk).split(","))))
+            except ValueError:
+                pass
+            else:
+                yield from zip(*[cells] * width)
+                continue
+        for ln in chunk:
+            try:
+                yield tuple(map(float, ln.split(",")))
+            except ValueError as exc:
+                raise ValidationError(f"bad CSV value in row {ln!r}") from exc
 
 
 def _collector_paused(load):
@@ -46,7 +52,11 @@ def _collector_paused(load):
     A parsed document and the ``Trace`` built from it hold no reference
     cycles, so a collection during loading finds nothing to free.  Yet each
     row allocates containers, and on a 100,000-state trace the collector
-    would run about 300 times, twice over the whole heap.
+    would run about 300 times, twice over the whole heap.  The rows are
+    then all in the young generation, and the first collection after the
+    load would visit every one of them, still to free nothing: so the
+    young objects move to the oldest generation unvisited, unless the
+    caller froze objects of its own, which ``gc.unfreeze`` would release.
     """
 
     @functools.wraps(load)
@@ -57,6 +67,9 @@ def _collector_paused(load):
             return load(text)
         finally:
             if enabled:
+                if not gc.get_freeze_count():
+                    gc.freeze()  # every tracked object, out of every generation
+                    gc.unfreeze()  # back, into the oldest
                 gc.enable()
 
     return paused
@@ -80,12 +93,14 @@ def trace_from_json(text: str) -> Trace:
     loop = doc.get("loop")
     if loop is not None and (not isinstance(loop, int) or isinstance(loop, bool)):
         raise ValidationError(f"'loop' must be an integer index, got {loop!r}")
-    return Trace(atoms, _json_rows(states), loop)
+    trace = Trace.__new__(Trace)
+    trace._build(atoms, states, loop, (str, bool))  # float() would read them as numbers
+    return trace
 
 
 @_collector_paused
 def trace_from_csv(text: str) -> Trace:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValidationError("empty CSV trace")
     loop: Optional[int] = None
@@ -98,19 +113,12 @@ def trace_from_csv(text: str) -> Trace:
         if not lines:
             raise ValidationError("CSV trace has a directive but no header")
     atoms = _check_atom_names(cell.strip() for cell in lines[0].split(","))
-    rows = []
-    for ln in lines[1:]:
-        try:
-            # float() ignores the whitespace around a cell
-            rows.append(tuple(map(float, ln.split(","))))
-        except ValueError as exc:
-            raise ValidationError(f"bad CSV value in row {ln!r}") from exc
-    return Trace(atoms, _FloatRows(rows), loop)  # float() made every cell
+    return Trace(atoms, list(_csv_rows(lines[1:], len(atoms))), loop)
 
 
 def load_trace(path: str | Path) -> Trace:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ValidationError(f"trace file {str(path)!r} is not UTF-8 text: {exc}") from exc
     head = text.lstrip()[:1]

@@ -343,16 +343,18 @@ class TestFailures:
 
 class TestImports:
     def test_cli_imports_no_law_suites(self):
-        # eval needs none of these; each subcommand imports its own
+        # eval needs none of these; each subcommand imports its own.  -S: no
+        # site-packages module imports anything on the package's behalf
         code = "import sys, fuzzytl.cli; print(' '.join(sorted(sys.modules)))"
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         ).stdout.split()
         assert "fuzzytl.cli" in out
         for name in ("checks", "rewrite", "oracle", "demo"):
             assert f"fuzzytl.{name}" not in out
+        assert "dataclasses" not in out and "inspect" not in out
 
     def test_suite_choices_follow_the_law_suite_table(self):
         from fuzzytl.checks import SUITES

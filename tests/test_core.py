@@ -8,6 +8,7 @@ import time
 import pytest
 
 from fuzzytl import core
+from fuzzytl.algebra import ConnectiveOps
 from fuzzytl.core import (
     OPERATORS,
     AlwaysB,
@@ -15,13 +16,16 @@ from fuzzytl.core import (
     Atom,
     AvoidingFunction,
     Bot,
+    Bound,
     Eventually,
     EventuallyB,
     Formula,
     Implies,
     Interpretation,
+    Level,
     Next,
     Not,
+    OpSpec,
     Or,
     Scale,
     Top,
@@ -34,8 +38,15 @@ from fuzzytl.core import (
     with_children,
 )
 from fuzzytl.checks import random_eta, random_formula, random_trace
-from fuzzytl.errors import FtlError, NotALasso, PositionOutOfRange, UnknownAtom, ValidationError
-from fuzzytl.evaluator import _HANDLERS, EvalContext, FinitePolicy, evaluate
+from fuzzytl.errors import (
+    FtlError,
+    NotALasso,
+    PositionOutOfRange,
+    SourceSpan,
+    UnknownAtom,
+    ValidationError,
+)
+from fuzzytl.evaluator import _HANDLERS, EvalContext, EvalResult, Exactness, FinitePolicy, evaluate
 from fuzzytl.parser import format_formula, parse
 from fuzzytl.rewrite import lower_to_adequate
 
@@ -658,3 +669,103 @@ def test_operator_table_has_one_row_and_one_handler_per_node_class():
             assert twin.twin is cls
             assert (twin.keyword, twin.level, twin.bound) == (spec.keyword, spec.level, spec.bound)
             assert (spec.param is None) != (twin.param is None)
+
+
+_ETA = AvoidingFunction((1.0, 0.5))
+_TRACE = Trace(("p", "q"), ((0.5, 0.25), (1.0, 0.0)), loop_start=1)
+_NOT_ROW = (Not, "!", Level.UNARY, Bound.NONE, None, ("arg",), None, children)
+
+#: (instance; an equal one built by keyword; one with a field changed; its
+#: repr, as the frozen dataclasses these classes replaced printed it).
+VALUE_CASES = [
+    (SourceSpan(1, 3), SourceSpan(start=1, end=3), SourceSpan(1, 4), "SourceSpan(start=1, end=3)"),
+    (
+        ConnectiveOps(abs, min, max, pow),
+        ConnectiveOps(neg=abs, tnorm=min, tconorm=max, implies=pow),
+        ConnectiveOps(abs, min, max, divmod),
+        "ConnectiveOps(neg=<built-in function abs>, tnorm=<built-in function min>, "
+        "tconorm=<built-in function max>, implies=<built-in function pow>)",
+    ),
+    (
+        OpSpec(*_NOT_ROW),
+        OpSpec(cls=Not, keyword="!", level=Level.UNARY, bound=Bound.NONE, twin=None,
+               children=("arg",), param=None, get_children=children),
+        OpSpec(*_NOT_ROW[:-1], core.node_count),  # get_children is compared, not shown
+        "OpSpec(cls=<class 'fuzzytl.core.Not'>, keyword='!', level=4, bound='none', twin=None, "
+        "children=('arg',), param=None)",
+    ),
+    (_ETA, AvoidingFunction(table=[1, 0.5]), AvoidingFunction((1.0, 0.25)),
+     "AvoidingFunction(table=(1.0, 0.5))"),
+    (
+        _TRACE,
+        Trace(atoms=["p", "q"], states=[[0.5, 0.25], [1, 0]], loop_start=1),
+        Trace(("p", "q"), ((0.5, 0.25), (1.0, 0.0)), loop_start=0),
+        "Trace(atoms=('p', 'q'), states=((0.5, 0.25), (1.0, 0.0)), loop_start=1)",
+    ),
+    (
+        EvalContext(_TRACE, Interpretation.GODEL, _ETA, FinitePolicy.PAD_ZERO),
+        EvalContext(trace=_TRACE, interp=Interpretation.GODEL, eta=AvoidingFunction((1.0, 0.5)),
+                    finite_policy=FinitePolicy.PAD_ZERO),
+        EvalContext(_TRACE, Interpretation.GODEL, _ETA),
+        "EvalContext(trace=Trace(atoms=('p', 'q'), states=((0.5, 0.25), (1.0, 0.0)), "
+        "loop_start=1), interp=<Interpretation.GODEL: 'godel'>, eta=AvoidingFunction(table=(1.0, "
+        "0.5)), finite_policy=<FinitePolicy.PAD_ZERO: 'pad-zero'>)",
+    ),
+    (
+        EvalResult(0.5, Exactness.LOWER_BOUND),
+        EvalResult(value=0.5, exactness=Exactness.LOWER_BOUND),
+        EvalResult(0.5, Exactness.EXACT),
+        "EvalResult(value=0.5, exactness=<Exactness.LOWER_BOUND: 'LowerBound'>)",
+    ),
+]
+
+#: The constructor fields, in order, of each value class.
+MATCH_ARGS = {
+    SourceSpan: ("start", "end"),
+    ConnectiveOps: ("neg", "tnorm", "tconorm", "implies"),
+    OpSpec: ("cls", "keyword", "level", "bound", "twin", "children", "param", "get_children"),
+    AvoidingFunction: ("table",),
+    Trace: ("atoms", "states", "loop_start"),
+    EvalContext: ("trace", "interp", "eta", "finite_policy"),
+    EvalResult: ("value", "exactness"),
+}
+
+
+@pytest.mark.parametrize("value, equal, changed, text", VALUE_CASES,
+                         ids=[type(case[0]).__name__ for case in VALUE_CASES])
+class TestValueClasses:
+    def test_repr(self, value, equal, changed, text):
+        assert repr(value) == repr(equal) == text
+
+    def test_eq_and_hash(self, value, equal, changed, text):
+        assert value == equal and hash(value) == hash(equal)
+        assert value != changed and not value == changed
+        assert value.__eq__(tuple(map(value.__getattribute__, MATCH_ARGS[type(value)]))) is NotImplemented
+
+    def test_pickle_and_copy(self, value, equal, changed, text):
+        copies = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in (*copies, copy.copy(value), copy.deepcopy(value)):
+            assert type(other) is type(value) and other is not value
+            assert other == value and repr(other) == text
+            for name in value.__slots__:  # the derived slots too
+                assert getattr(other, name) == getattr(value, name)
+
+    def test_match_args_and_keywords(self, value, equal, changed, text):
+        names = MATCH_ARGS[type(value)]
+        assert type(value).__match_args__ == names
+        assert type(value)(**{name: getattr(value, name) for name in names}) == value
+        assert not hasattr(value, "__dict__")
+
+    def test_fields_are_frozen(self, value, equal, changed, text):
+        for name in value.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert value == equal
+
+
+def test_an_unpickled_context_evaluates():
+    ctx = pickle.loads(pickle.dumps(EvalContext(_TRACE, Interpretation.LUKASIEWICZ, _ETA)))
+    f = parse("AG[3] (p U q)")
+    assert evaluate(ctx, f, 1) == evaluate(EvalContext(_TRACE, Interpretation.LUKASIEWICZ, _ETA), f, 1)

@@ -1,9 +1,11 @@
 import gc
 import hashlib
+import json
+import math
 
 import pytest
 
-from fuzzytl.core import AvoidingFunction, Interpretation, Trace
+from fuzzytl.core import _CHUNK, AvoidingFunction, Interpretation, Trace, degree
 from fuzzytl.errors import ValidationError
 from fuzzytl.evaluator import EvalContext, evaluate
 from fuzzytl.parser import BOUND_CEILING, parse
@@ -94,6 +96,14 @@ def test_file_that_is_not_utf8_is_a_validation_error(tmp_path):
     path.write_bytes(bytes.fromhex("fffe00626164"))
     with pytest.raises(ValidationError, match="is not UTF-8 text"):
         load_trace(path)
+
+
+@pytest.mark.parametrize("name", ["t.json", "t.csv"])
+def test_byte_order_mark_is_dropped(tmp_path, name):
+    path = tmp_path / name
+    save_trace(SAMPLE, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_trace(path) == SAMPLE
 
 
 def load_outcome(load, text) -> str:
@@ -223,6 +233,130 @@ class TestIngestGolden:
         assert str(exc.value) == "bad CSV value in row '0.5 , x'"
 
 
+#: Rows of the chunk-boundary traces: two whole chunks, and three rows more.
+N_ROWS = 2 * _CHUNK + 3
+#: A row in each chunk, the last of the trace's last.
+SECOND_CHUNK_ROW, LAST_CHUNK_ROW = _CHUNK + 5, N_ROWS - 1
+
+
+def boundary_cells(changes) -> list[list[str]]:
+    """N_ROWS rows of two cells as text, with ``changes`` ({(row, column): text,
+    or None to drop the cell}) applied."""
+    rows = [[repr((i % 9) / 8), repr((i * 5 % 7) / 6)] for i in range(N_ROWS)]
+    for (i, k), cell in sorted(changes.items(), reverse=True):
+        if cell is None:
+            del rows[i][k]
+        else:
+            rows[i][k] = cell
+    return rows
+
+
+def boundary_json(rows) -> str:
+    return json.dumps({"atoms": ["p", "q"], "states": "@"}).replace(
+        '"@"', "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    )
+
+
+def boundary_csv(rows) -> str:
+    return "p,q\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def walk_outcome(rows, cell=degree):
+    """What a per-value walk in row-major order gives: the states, built
+    by ``cell`` (``degree()`` by default) one cell at a time, or the message
+    of the first bad cell, and past every cell, of the first short row."""
+    try:
+        states = tuple(tuple(map(cell, row)) for row in rows)
+    except ValidationError as exc:
+        return str(exc)
+    for i, row in enumerate(states):
+        if len(row) != 2:
+            return f"state {i} has {len(row)} entries for 2 atoms"
+    return states
+
+
+def json_walk(rows):
+    def cell(v):
+        if type(v) in (str, bool):
+            raise ValidationError(f"truth degree {v!r} is not a number")
+        return degree(v)
+
+    return walk_outcome([json.loads("[" + ", ".join(row) + "]") for row in rows], cell)
+
+
+def csv_walk(rows):
+    values = []
+    for row in rows:
+        try:
+            values.append(tuple(map(float, row)))
+        except ValueError:
+            return f"bad CSV value in row {','.join(row)!r}"
+    return walk_outcome(values)
+
+
+BOUNDARY_FORMATS = [
+    pytest.param(trace_from_json, boundary_json, json_walk, id="json"),
+    pytest.param(trace_from_csv, boundary_csv, csv_walk, id="csv"),
+]
+
+
+def boundary_outcome(load, text):
+    try:
+        return load(text).states
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestChunkBoundaries:
+    """Loads that span three chunks, the last of three rows: each names the
+    bad cell, or builds the states, that a per-value walk does."""
+
+    @pytest.mark.parametrize("load, encode, walk", BOUNDARY_FORMATS)
+    @pytest.mark.parametrize(
+        "json_cell, csv_cell",
+        [('"x"', "x"), ("true", "True"), ("NaN", "nan"), ("1.5", "1.5"),
+         ("-1e-300", "-1e-300"), (None, None)],
+        ids=["string", "bool", "nan", "1.5", "-1e-300", "short-row"],
+    )
+    def test_only_bad_cell_in_the_last_chunk(self, load, encode, walk, json_cell, csv_cell):
+        cell = json_cell if encode is boundary_json else csv_cell
+        rows = boundary_cells({(LAST_CHUNK_ROW, 1): cell})
+        message = walk(rows)
+        assert isinstance(message, str)  # the walk finds the bad cell
+        assert boundary_outcome(load, encode(rows)) == message
+
+    @pytest.mark.parametrize("load, encode, walk", BOUNDARY_FORMATS)
+    @pytest.mark.parametrize(
+        "first, second",
+        [("1.5", "-1e-300"), ("-1e-300", "1.5"), ("1.5", "x"), ("x", "1.5"),
+         (None, "1.5"), ("1.5", None)],
+        ids=["1.5-tiny", "tiny-1.5", "1.5-string", "string-1.5", "short-row-1.5", "1.5-short-row"],
+    )
+    def test_the_first_of_two_bad_cells_is_named(self, load, encode, walk, first, second):
+        # a short row is named only once every cell has passed
+        spell = (lambda c: c if c != "x" else '"x"') if encode is boundary_json else str
+        changes = {(SECOND_CHUNK_ROW, 0): first, (LAST_CHUNK_ROW, 1): second}
+        rows = boundary_cells({at: c if c is None else spell(c) for at, c in changes.items()})
+        message = walk(rows)
+        assert isinstance(message, str)
+        assert boundary_outcome(load, encode(rows)) == message
+
+    @pytest.mark.parametrize("load, encode, walk", BOUNDARY_FORMATS)
+    def test_negative_zero_and_integers_in_later_chunks(self, load, encode, walk):
+        rows = boundary_cells({(SECOND_CHUNK_ROW, 1): "-0.0", (LAST_CHUNK_ROW, 0): "1",
+                               (LAST_CHUNK_ROW, 1): "0"})
+        states = boundary_outcome(load, encode(rows))
+        assert states == walk(rows)
+        assert math.copysign(1.0, states[SECOND_CHUNK_ROW][1]) == -1.0
+        assert states[LAST_CHUNK_ROW] == (1.0, 0.0)
+        assert {type(v) for row in states for v in row} == {float}
+
+    @pytest.mark.parametrize("load, encode, walk", BOUNDARY_FORMATS)
+    def test_a_clean_load_is_the_walk(self, load, encode, walk):
+        rows = boundary_cells({})
+        assert boundary_outcome(load, encode(rows)) == walk(rows)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize(
     "load, text",
@@ -244,6 +378,32 @@ def test_loading_leaves_the_collector_as_it_was(load, text, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("load, text", [
+    (trace_from_json, '{"atoms": ["p", "q"], "states": [' + ", ".join(["[0.5, 0.25]"] * 5000) + "]}"),
+    (trace_from_csv, "p,q\n" + "0.5,0.25\n" * 5000),
+], ids=["json", "csv"])
+def test_a_load_leaves_no_young_collection_due(load, text):
+    # the first collection after the load would visit every row to free nothing
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        trace = load(text)
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+        assert len(trace) == 5000
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_load_keeps_the_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        trace_from_csv("p\n0.5\n")
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 class TestEtaSpecs:
